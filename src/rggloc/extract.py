@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Ball, BallBoxIntersection, Box, Norm, probe_measure
+from .geometry import Ball, BallBoxIntersection, Box, Norm, probe_measure, torus_distance
 from .grid import (
     CellConfig,
     GridModel,
@@ -30,7 +30,7 @@ from .grid import (
     flat_index,
     unflat_index,
 )
-from .points import ModelParams, PointSet, count_in_probe
+from .points import ModelParams, PointSet, close_pairs, count_in_probe
 from .stats import DerivedScales, Q_internal, Q_cross, V_count, derived_scales
 
 
@@ -263,19 +263,12 @@ def _densest_ball_center(ps: PointSet, params: ModelParams, s: int = 5) -> tuple
     anchor = np.array(np.unravel_index(int(np.argmax(acc)), grid.shape))
     centroid = np.mean(np.array(grid.clique_offsets), axis=0)
     base = (anchor + centroid + 0.5) / grid.m % 1.0
-    # 5-per-axis local refinement of the center at stride (1/m)/2
-    best = None
-    best_count = -1
-    d = params.norm.dim
-    stride = 0.5 / grid.m
-    for off in itertools.product(range(-2, 3), repeat=d):
-        c = tuple((base + stride * np.array(off)) % 1.0)
-        ball = Ball(center=c, radius=params.r / 2.0, norm=params.norm)
-        k = count_in_probe(ps, ball)
-        if k > best_count:
-            best_count = k
-            best = c
-    return best
+    # 5-per-axis local refinement of the center at stride (1/m)/2; the first
+    # candidate with the most points in its ball of radius r/2 wins
+    offs = np.array(list(itertools.product(range(-2, 3), repeat=params.norm.dim)))
+    cands = (base + (0.5 / grid.m) * offs) % 1.0
+    hits = close_pairs(cands, ps.points, params.r / 2.0, params.norm)[:, 0]
+    return tuple(cands[int(np.argmax(np.bincount(hits, minlength=len(cands))))])
 
 
 def _clause_a_probes(A: Ball, spec: ProbeFamilySpec, eps: float, tau: float) -> list:
@@ -338,11 +331,8 @@ def certify_thm1(
     d = params.norm.dim
     kgrid = max(1, int(math.floor(2.0 / r)))
     stride = 1.0 / kgrid
-    from .geometry import torus_distance
-
-    centers = np.array(
-        list(itertools.product((np.arange(kgrid) + 0.5) * stride, repeat=d))
-    )
+    axes = np.meshgrid(*[(np.arange(kgrid) + 0.5) * stride] * d, indexing="ij")
+    centers = np.stack(axes, axis=-1).reshape(-1, d)
     dist_to_A = torus_distance(centers, np.array(A.center), params.norm)
     keep = centers[dist_to_A > r]  # center gap > r  =>  balls of radius r/2 disjoint
     counts = np.zeros(len(keep), dtype=np.int64)

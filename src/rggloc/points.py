@@ -1,8 +1,9 @@
 """Poisson point process sampling and continuum edge counting.
 
 The random geometric graph puts an edge between every unordered pair of
-points at torus distance <= r.  `edge_count` uses a bucket grid (fixed-radius
-near-neighbor search); `edge_count_bruteforce` is the definitional O(N^2)
+points at torus distance <= r.  `edge_count` finds them with a fixed-radius
+near-neighbor search on a periodic kd-tree and re-checks every candidate pair
+with `torus_distance`; `edge_count_bruteforce` is the definitional O(N^2)
 oracle and the two must agree exactly.
 """
 
@@ -14,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import rng
 from .geometry import Norm, Probe, ball_volume_tau, probe_contains, torus_distance
@@ -127,61 +129,44 @@ def edge_count_bruteforce(ps: PointSet, r: float, norm: Norm) -> int:
     return total
 
 
-def _bucket_side(r: float) -> int:
-    """Number of buckets per axis; bucket side = max(r, 1/512)."""
-    return max(1, min(512, int(math.floor(1.0 / r))))
+_MINKOWSKI_P = {"l1": 1, "l2": 2, "linf": np.inf}
+
+
+def _periodic_tree(x: np.ndarray) -> cKDTree:
+    # cKDTree(boxsize=1) rejects a coordinate of 1.0, which `% 1.0` returns
+    # for tiny negative inputs such as -1e-17
+    w = x % 1.0
+    w[w == 1.0] = 0.0
+    return cKDTree(w, boxsize=1.0)
+
+
+def close_pairs(a: np.ndarray, b: np.ndarray | None, radius: float, norm: Norm) -> np.ndarray:
+    """Index pairs (i, j) with torus_distance(a[i], b[j], norm) <= radius.
+
+    With b None the pairs are the unordered pairs i < j within a.  The
+    periodic kd-tree proposes candidates at a radius inflated by 1e-12
+    (relative), and each candidate is re-checked with `torus_distance` on the
+    caller's own coordinates, so the result is exactly the definitional scan
+    for coordinates in [0, 1].  Returns an (M, 2) int64 array in no fixed order.
+    """
+    p = _MINKOWSKI_P[norm.kind]
+    reach = radius * (1.0 + 1e-12)
+    tree = _periodic_tree(a)
+    if b is None:
+        pairs = tree.query_pairs(reach, p=p, output_type="ndarray")
+        b = a
+    else:
+        m = tree.sparse_distance_matrix(_periodic_tree(b), reach, p=p, output_type="ndarray")
+        pairs = np.stack([m["i"], m["j"]], axis=-1)
+    keep = torus_distance(a[pairs[:, 0]], b[pairs[:, 1]], norm) <= radius
+    return pairs[keep]
 
 
 def edge_count(ps: PointSet, r: float, norm: Norm) -> int:
-    """|E| via a bucket grid with side >= r; bit-identical to the brute force."""
+    """|E| via periodic kd-tree candidates; bit-identical to the brute force."""
     if not (0.0 < r < 0.5):
         raise ValueError("need 0 < r < 1/2")
-    pts = ps.points
-    n = len(pts)
-    if n < 2:
-        return 0
-    d = norm.dim
-    b = _bucket_side(r)
-    if b < 3:
-        # grid degenerates (every bucket neighbors every other): brute force
-        return edge_count_bruteforce(ps, r, norm)
-    cell = np.minimum((pts * b).astype(np.int64), b - 1)
-    flat = np.ravel_multi_index(cell.T, (b,) * d)
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    starts = np.searchsorted(sorted_flat, np.arange(b**d), side="left")
-    ends = np.searchsorted(sorted_flat, np.arange(b**d), side="right")
-    occupied = np.unique(sorted_flat)
-
-    # half-stencil of neighbor offsets so each bucket pair is visited once
-    offsets = _half_stencil(d)
-    total = 0
-    occ_cells = np.stack(np.unravel_index(occupied, (b,) * d), axis=-1)
-    for idx, f in zip(occ_cells, occupied):
-        pi = pts[order[starts[f] : ends[f]]]
-        # within-bucket pairs (full matrix, halved)
-        if len(pi) > 1:
-            dist = torus_distance(pi[:, None, :], pi[None, :, :], norm)
-            total += (int((dist <= r).sum()) - len(pi)) // 2
-        for off in offsets:
-            nb = (idx + off) % b
-            g = int(np.ravel_multi_index(nb, (b,) * d))
-            if starts[g] == ends[g]:
-                continue
-            pj = pts[order[starts[g] : ends[g]]]
-            dist = torus_distance(pi[:, None, :], pj[None, :, :], norm)
-            total += int((dist <= r).sum())
-    return total
-
-
-def _half_stencil(d: int) -> list:
-    """Offsets covering each unordered neighbor-bucket pair exactly once."""
-    offs = []
-    for off in np.ndindex(*([3] * d)):
-        v = tuple(o - 1 for o in off)
-        if v > tuple([0] * d):  # lexicographic half
-            offs.append(np.array(v))
-    return offs
+    return len(close_pairs(ps.points, None, r, norm))
 
 
 def count_in_probe(ps: PointSet, S: Probe) -> int:

@@ -1,5 +1,6 @@
 """Localization pipeline: big-cell extraction, clique certification, reports."""
 
+import itertools
 import json
 import math
 
@@ -7,11 +8,14 @@ import numpy as np
 import pytest
 
 from rggloc import (
+    Ball,
     InsufficientMassError,
     Norm,
     build_grid,
     certify_thm1,
     certify_thm2,
+    coarsen,
+    count_in_probe,
     derived_scales,
     extract_bulk_exceedance,
     extract_P,
@@ -20,7 +24,9 @@ from rggloc import (
     params_for_p_hat,
     planted_cell_sampler,
     planted_continuum_sampler,
+    sample_ppp,
 )
+from rggloc.extract import _densest_ball_center
 from rggloc.grid import CellConfig, clique_translate, flat_index
 
 
@@ -165,9 +171,41 @@ def test_certify_thm1_planted_continuum():
 
 
 def test_certify_thm1_null_sample_fails_clause_a():
-    from rggloc import sample_ppp
-
     params = params_for_p_hat(2000.0, 1.0, Norm("l2", 2))
     ps = sample_ppp(params.n, params.norm, seed=29)
     rep = certify_thm1(ps, params, delta=1.0, eps=0.25)
     assert not rep.clause_a_pass_SA  # nothing near sqrt(2 mu) points anywhere
+
+
+def _densest_ball_center_loop(ps, params, s=5):
+    """Reference: clique-window argmax, then the first of the 5^d refined balls
+    with the most points, each counted with count_in_probe."""
+    grid = build_grid(params, s)
+    x = coarsen(ps, grid).lattice()
+    acc = np.zeros_like(x)
+    for off in grid.clique_offsets:
+        acc += np.roll(x, shift=tuple(-c for c in off), axis=tuple(range(x.ndim)))
+    anchor = np.array(np.unravel_index(int(np.argmax(acc)), grid.shape))
+    centroid = np.mean(np.array(grid.clique_offsets), axis=0)
+    base = (anchor + centroid + 0.5) / grid.m % 1.0
+    best, best_count = None, -1
+    for off in itertools.product(range(-2, 3), repeat=params.norm.dim):
+        c = tuple((base + 0.5 / grid.m * np.array(off)) % 1.0)
+        k = count_in_probe(ps, Ball(center=c, radius=params.r / 2.0, norm=params.norm))
+        if k > best_count:
+            best, best_count = c, k
+    return best
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_densest_ball_center_matches_first_maximum_loop(kind):
+    # d=3 only under Linf, whose tau_s has a closed form; the L1/L2 d=3 grids
+    # need a tau_s search of 10-60 s
+    for dim in (1, 2, 3) if kind == "linf" else (1, 2):
+        params = params_for_p_hat(300.0, 1.0, Norm(kind, dim))
+        for k in range(3):
+            for ps in (
+                planted_continuum_sampler(params, delta=1.0, seed=31, replica=k),
+                sample_ppp(params.n, params.norm, seed=37, replica=k),
+            ):
+                assert _densest_ball_center(ps, params) == _densest_ball_center_loop(ps, params)

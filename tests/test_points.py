@@ -14,7 +14,8 @@ from rggloc import (
     params_for_p_hat,
     sample_ppp,
 )
-from rggloc.points import dump_csv, load_csv
+from rggloc.geometry import torus_distance
+from rggloc.points import PointSet, close_pairs, dump_csv, load_csv
 
 
 def test_mu_formula(l2_params):
@@ -52,26 +53,84 @@ def test_ppp_determinism_and_stream_independence():
     assert len(a) != len(c) or not np.array_equal(a.points, c.points)
 
 
-@pytest.mark.parametrize("kind,dim", [("l2", 2), ("linf", 2), ("l1", 3), ("linf", 1)])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
 def test_edge_count_matches_bruteforce(kind, dim):
     norm = Norm(kind, dim)
-    for k in range(10):
+    for k in range(12):
         ps = sample_ppp(300.0, norm, seed=11, replica=k)
-        r = [0.05, 0.11, 0.2][k % 3]
+        r = [0.05, 0.11, 0.2, 0.45][k % 4]
         assert edge_count(ps, r, norm) == edge_count_bruteforce(ps, r, norm)
 
 
-def test_edge_count_boundary_pair_is_closed():
-    from rggloc.points import PointSet
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_edge_count_ties_at_radius(kind):
+    # every lattice point k/q: many pairs sit at distance r or within rounding
+    # of it.  Without the kd-tree's inflated candidate radius the L2 d=3 count
+    # on the 1/12 lattice comes out short; just below r the inflated radius
+    # still reaches the ties, so only the exact re-check keeps them out
+    for q, r in ((16, 1 / 8), (12, 1 / 4)):
+        below = r * (1.0 - 5e-13)
+        for dim in (1, 2, 3):
+            norm = Norm(kind, dim)
+            axes = np.meshgrid(*[np.arange(q) / q] * dim, indexing="ij")
+            ps = PointSet(np.stack(axes, axis=-1).reshape(-1, dim), intensity=q**dim, seed=0)
+            for radius in (r, below):
+                assert edge_count(ps, radius, norm) == edge_count_bruteforce(ps, radius, norm)
+            assert edge_count(ps, r, norm) > edge_count(ps, below, norm)
 
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_edge_count_coordinates_on_the_seam(kind):
+    # x % 1.0 is 1.0 for x = -1e-17, a coordinate the periodic tree rejects
+    pts = np.array(
+        [[1.0, 0.5], [-1e-17, 0.5], [0.999999999999, 0.5], [0.5, 1.0], [0.5, 0.02], [0.3, -1e-17]]
+    )
+    ps = PointSet(pts, intensity=6.0, seed=0)
+    norm = Norm(kind, 2)
+    assert edge_count(ps, 0.05, norm) == edge_count_bruteforce(ps, 0.05, norm) == 4
+
+
+def test_edge_count_memory_does_not_scale_with_radius():
+    # a dense grid of side 1/r would hold 500^4 buckets here
+    pts = np.array([[0.1] * 4, [0.1005] * 4, [0.5] * 4, [0.9] * 4, [0.3, 0.6, 0.2, 0.8]])
+    ps = PointSet(pts, intensity=5.0, seed=0)
+    norm = Norm("l2", 4)
+    assert edge_count(ps, 0.002, norm) == edge_count_bruteforce(ps, 0.002, norm) == 1
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_close_pairs_matches_double_loop(kind):
+    for dim in (1, 2, 3, 4):
+        norm = Norm(kind, dim)
+        a = sample_ppp(40.0, norm, seed=3, replica=dim).points
+        b = sample_ppp(60.0, norm, seed=4, replica=dim).points
+        radius = 0.3
+        cross = {
+            (i, j)
+            for i in range(len(a))
+            for j in range(len(b))
+            if torus_distance(a[i], b[j], norm) <= radius
+        }
+        within = {
+            (i, j)
+            for i in range(len(a))
+            for j in range(i + 1, len(a))
+            if torus_distance(a[i], a[j], norm) <= radius
+        }
+        assert cross and within
+        assert set(map(tuple, close_pairs(a, b, radius, norm).tolist())) == cross
+        got = {tuple(sorted(pair)) for pair in close_pairs(a, None, radius, norm).tolist()}
+        assert got == within
+
+
+def test_edge_count_boundary_pair_is_closed():
     ps = PointSet(np.array([[0.1, 0.5], [0.2, 0.5]]), intensity=2.0, seed=0)
     assert edge_count(ps, 0.1, Norm("l2", 2)) == 1  # distance exactly r counts
     assert edge_count(ps, 0.0999, Norm("l2", 2)) == 0
 
 
 def test_edge_count_wraparound_pair():
-    from rggloc.points import PointSet
-
     ps = PointSet(np.array([[0.01, 0.5], [0.99, 0.5]]), intensity=2.0, seed=0)
     assert edge_count(ps, 0.05, Norm("l2", 2)) == 1
 
