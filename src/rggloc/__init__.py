@@ -30,12 +30,10 @@ from .grid import (
     cell_metric_numeric_oracle,
     coarsen,
     enumerate_max_clique_sets,
-    expected_sgraded_edges,
     index_union,
     inner_hull,
     inscribed_ball_diameter,
     max_clique_info,
-    max_clique_set_size,
     neighborhood,
     outer_hull,
     sample_cell_config,
@@ -44,7 +42,6 @@ from .grid import (
 )
 from .stats import (
     DerivedScales,
-    P_excess,
     Q_cross,
     Q_internal,
     V_count,

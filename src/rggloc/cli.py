@@ -52,10 +52,6 @@ class ConfigError(ValueError):
     pass
 
 
-class BudgetExhausted(RuntimeError):
-    pass
-
-
 @dataclass
 class RunConfig:
     params: ModelParams
@@ -556,9 +552,6 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except BudgetExhausted as e:
-        print(f"budget exhausted: {e}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

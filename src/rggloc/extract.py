@@ -25,9 +25,9 @@ from .grid import (
     CellConfig,
     GridModel,
     build_grid,
-    cell_metric,
     coarsen,
     flat_index,
+    set_diameter,
     unflat_index,
 )
 from .points import ModelParams, PointSet, close_pairs, count_in_probe
@@ -115,11 +115,7 @@ def set_diameter_capped(members, grid: GridModel, cap: int = 400) -> int:
     members = list(members)
     if len(members) > cap:
         return grid.m  # sentinel: certainly > s for any valid grid
-    best = 0
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            best = max(best, cell_metric(members[i], members[j], grid))
-    return best
+    return set_diameter(members, grid)
 
 
 def certify_thm2(
@@ -318,13 +314,13 @@ def certify_thm1(
     worst_a = -1.0
     worst_name = ""
     margin_sa = abs(count_A / target - 1.0)
-    for name, S in _clause_a_probes(A, probes, eps, tau):
+    clause_a = _clause_a_probes(A, probes, eps, tau)
+    for name, S in clause_a:
         k = count_in_probe(ps, S)
         margin = abs(k / target - probe_measure(S) / tau)
         if margin > worst_a:
             worst_a = margin
             worst_name = name
-    n_a = len(_clause_a_probes(A, probes, eps, tau))
 
     # clause (b): tile ball probes at stride r/2, skip any that intersect A
     r = params.r
@@ -367,6 +363,6 @@ def certify_thm1(
         clause_a_pass=worst_a < eps,
         clause_b_worst=worst_b,
         clause_b_pass=worst_b < eps,
-        n_probes_a=n_a,
+        n_probes_a=len(clause_a),
         n_probes_b=int(len(keep)),
     )

@@ -8,6 +8,14 @@ cells can be closer than z cell widths; for monotone norms this has the
 closed form floor(||max(delta-1, 0)||) + 1 with delta the wrapped per-axis
 cell offset.  Two cells are "adjacent" (their points can be graph neighbors)
 when d(I,J) <= s.
+
+tau_s, the largest set of cells with pairwise metric <= s, is a maximum clique
+of this adjacency: on the (s+2)^d window for a grid with m >= 2s+3, on the
+whole wrapped grid otherwise.  `_clique_graph` packs the graph into Python-int
+bitsets, and one colour-bounded branch and bound (MCQ/MCS, Tomita & Seki 2003;
+Tomita et al. 2010) proves the maximum, starting from a disc-swept greedy
+clique that stays the witness whenever it is optimal.  The same search, with
+>= in place of >, enumerates the maximum sets through an anchor cell.
 """
 
 from __future__ import annotations
@@ -19,8 +27,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from . import rng
 from .geometry import Ball, BallBoxIntersection, Box, Norm, Probe
@@ -35,7 +41,7 @@ class CliqueResult:
 
     members: frozenset  # of CellIndex
     size: int
-    exact: bool  # False => size is only a certified lower bound
+    exact: bool  # always True: the search runs to completion, with no time limit
 
 
 @dataclass(frozen=True)
@@ -187,117 +193,148 @@ def neighborhood(I: CellIndex, grid: GridModel) -> frozenset:
     return frozenset(out)
 
 
-def _window_vertices_and_adjacency(norm: Norm, s: int):
-    """Vertices of the (s+2)^d anchored window and the pairwise-compatible graph."""
-    w = s + 2
-    coords = np.array(list(itertools.product(range(w), repeat=norm.dim)))
-    delta = np.abs(coords[:, None, :] - coords[None, :, :])
-    dist = _metric_from_delta(delta, norm)
-    adj = dist <= s
+def _pairwise_metric(a: np.ndarray, b: np.ndarray, norm: Norm, m: int | None = None) -> np.ndarray:
+    """Cell metric between every row of `a` and every row of `b`; offsets wrap mod m if given."""
+    delta = np.abs(a[:, None, :] - b[None, :, :])
+    if m is not None:
+        delta = np.minimum(delta, m - delta)
+    return _metric_from_delta(delta, norm)
+
+
+def _clique_graph(cells: np.ndarray, norm: Norm, s: int, m: int | None = None):
+    """The graph on `cells` joining pairs at cell metric <= s, no self-loops.
+
+    Vertices are renumbered by non-increasing degree (ties keep the row order):
+    returns `order`, the row of `cells` behind each vertex, and the adjacency
+    as one Python-int bitset per vertex (bit u of nbrs[v] set iff u ~ v).
+    """
+    # row blocks keep the int64/float intermediates small: the s=64 window
+    # has 4356 cells, and one block of all pairs would take over 1 GB
+    blocks = range(0, len(cells), 256)
+    adj = np.vstack([_pairwise_metric(cells[i : i + 256], cells, norm, m) <= s for i in blocks])
     np.fill_diagonal(adj, False)
-    return coords, adj
+    order = np.argsort(-adj.sum(axis=1), kind="stable")
+    rows = np.packbits(adj[order][:, order], axis=1, bitorder="little")
+    return order, [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def _greedy_clique(coords: np.ndarray, adj: np.ndarray) -> list:
-    """Disc-swept greedy clique: best over ball-growing orders from many centers."""
-    n = len(coords)
-    w = int(coords.max()) + 1 if n else 0
+def _greedy_clique(pts: np.ndarray, order: np.ndarray, nbrs: list) -> list:
+    """Disc-swept greedy clique: best over ball-growing orders from many centers.
+
+    `pts` are the vertex coordinates; distance ties go to the lower `order`,
+    i.e. to the earlier row of the cells the graph was built from.
+    """
+    w = int(pts.max()) + 1 if len(pts) else 0
+    full = (1 << len(nbrs)) - 1
     best: list = []
-    dim = coords.shape[1]
-    centers = itertools.product(np.arange(0, w, 1.0), repeat=dim)
-    for c in centers:
-        order = np.argsort(((coords - np.array(c)) ** 2).sum(axis=1), kind="stable")
+    for c in itertools.product(np.arange(0, w, 1.0), repeat=pts.shape[1]):
+        dist = ((pts - np.array(c)) ** 2).sum(axis=1)
         cur = []
-        mask = np.ones(n, dtype=bool)
-        for v in order:
-            if mask[v]:
-                cur.append(int(v))
-                mask &= adj[v]
+        mask = full
+        for v in np.lexsort((order, dist)).tolist():
+            if mask >> v & 1:
+                cur.append(v)
+                mask &= nbrs[v]
+                if mask == 0:
+                    break
         if len(cur) > len(best):
             best = cur
     return best
 
 
-def _max_clique_milp(adj: np.ndarray, time_limit: float, fixed: int | None = None):
-    """Exact maximum clique by MILP over the complement edges (branch and cut)."""
-    n = adj.shape[0]
-    comp = ~adj
-    np.fill_diagonal(comp, False)
-    iu, ju = np.nonzero(np.triu(comp))
-    lb = np.zeros(n)
-    ub = np.ones(n)
-    if fixed is not None:
-        lb[fixed] = 1.0
-    constraints = []
-    if len(iu):
-        rows = np.repeat(np.arange(len(iu)), 2)
-        cols = np.empty(2 * len(iu), dtype=np.int64)
-        cols[0::2] = iu
-        cols[1::2] = ju
-        A = sparse.csr_matrix(
-            (np.ones(2 * len(iu)), (rows, cols)), shape=(len(iu), n)
-        )
-        constraints = [LinearConstraint(A, -np.inf, 1.0)]
-    res = milp(
-        c=-np.ones(n),
-        constraints=constraints,
-        integrality=np.ones(n),
-        bounds=Bounds(lb, ub),
-        options={"time_limit": time_limit, "disp": False},
-    )
-    if res.x is None:
-        return None, False
-    members = np.nonzero(res.x > 0.5)[0]
-    return members, res.status == 0
+def _colour_classes(P: int, nbrs: list):
+    """Greedy sequential colouring of the bitset P, lowest vertex first.
+
+    Returns the vertices in colour order and their colour numbers 1, 2, ...;
+    a clique within P has at most as many vertices as P has colours.
+    """
+    verts, colours = [], []
+    k = 0
+    while P:
+        k += 1
+        Q = P
+        while Q:
+            low = Q & -Q
+            v = low.bit_length() - 1
+            P ^= low
+            Q &= ~(nbrs[v] | low)
+            verts.append(v)
+            colours.append(k)
+    return verts, colours
+
+
+def _clique_search(nbrs: list, base: list, cand: int, bar: int, cap: int | None = None) -> list:
+    """Colour-bounded branch and bound (MCQ/MCS, Tomita et al.) over cliques
+    `base` + C with C inside the bitset `cand`, keeping those with more than
+    `bar` vertices.
+
+    Improve mode (cap None): each clique kept raises `bar` to its size, so the
+    last one returned is a maximum clique, and an empty list proves none has
+    more than `bar` vertices.  Enumerate mode: `bar` stays, and the search stops
+    after `cap` cliques; with bar = tau - 1 every clique returned has tau
+    vertices, each one once.  An explicit stack replaces recursion, whose depth
+    would reach the clique size (thousands of cells at large s).
+    """
+    found: list = []
+    R = list(base)
+    stack = [[cand, *_colour_classes(cand, nbrs)]]
+    while stack and (cap is None or len(found) < cap):
+        frame = stack[-1]
+        P, verts, colours = frame
+        if not verts or len(R) + colours[-1] <= bar:
+            stack.pop()
+            if stack:
+                R.pop()
+            continue
+        v = verts.pop()
+        colours.pop()
+        frame[0] = P ^ (1 << v)
+        sub = P & nbrs[v]
+        if sub:
+            R.append(v)
+            stack.append([sub, *_colour_classes(sub, nbrs)])
+        elif len(R) + 1 > bar:
+            found.append(R + [v])
+            if cap is None:
+                bar = len(R) + 1
+    return found
+
+
+def _max_clique(cells: np.ndarray, norm: Norm, s: int, m: int | None = None) -> np.ndarray:
+    """The cells of a maximum clique, as rows of `cells`; the search proves it.
+
+    The disc-swept greedy clique is the incumbent and stays the witness unless
+    the branch and bound finds a larger clique.
+    """
+    order, nbrs = _clique_graph(cells, norm, s, m)
+    pts = cells[order]
+    best = _greedy_clique(pts, order, nbrs)
+    better = _clique_search(nbrs, [], (1 << len(nbrs)) - 1, len(best))
+    return pts[better[-1] if better else best]
+
+
+def _as_offsets(pts: np.ndarray) -> tuple:
+    return tuple(sorted(tuple(row) for row in pts.tolist()))
 
 
 @lru_cache(maxsize=64)
-def _tau_s_cached(kind: str, dim: int, s: int, time_limit: float):
-    """tau_s and a canonical witness; n-independent, computed once per (norm, d, s)."""
-    norm = Norm(kind, dim)
-    coords, adj = _window_vertices_and_adjacency(norm, s)
-    greedy = _greedy_clique(coords, adj)
-    members, exact = _max_clique_milp(adj, time_limit)
-    if members is None:
-        witness = greedy
-        exact = False
-    elif len(greedy) >= len(members):
-        # prefer the disc-swept witness (deterministic, round) when it is optimal
-        witness = greedy
-    else:
-        witness = sorted(int(v) for v in members)
-    pts = coords[list(witness)]
-    pts = pts - pts.min(axis=0)  # canonical: min corner at origin
-    offsets = tuple(sorted(tuple(int(c) for c in row) for row in pts))
-    return len(witness), exact, offsets
+def _tau_s_cached(kind: str, dim: int, s: int) -> tuple:
+    """Canonical witness of tau_s, n-independent, computed once per (norm, d, s).
+
+    The (s+2)^d window holds every set of diameter <= s up to translation; the
+    witness is moved so that its min corner is the origin.
+    """
+    window = np.array(list(itertools.product(range(s + 2), repeat=dim)))
+    pts = _max_clique(window, Norm(kind, dim), s)
+    return _as_offsets(pts - pts.min(axis=0))
 
 
-def max_clique_set_size(grid: GridModel, time_limit: float = 60.0) -> int:
-    return _tau_s_cached(grid.norm.kind, grid.norm.dim, grid.s, time_limit)[0]
+def max_clique_info(norm: Norm, s: int) -> CliqueResult:
+    offsets = _tau_s_cached(norm.kind, norm.dim, s)
+    return CliqueResult(members=frozenset(offsets), size=len(offsets), exact=True)
 
 
-def max_clique_info(norm: Norm, s: int, time_limit: float = 60.0) -> CliqueResult:
-    size, exact, offsets = _tau_s_cached(norm.kind, norm.dim, s, time_limit)
-    return CliqueResult(members=frozenset(offsets), size=size, exact=exact)
-
-
-def _tau_s_tiny(norm: Norm, s: int, m: int, time_limit: float = 60.0):
-    """tau_s on a wrapped grid too small for the window argument (oracle grids)."""
-    coords = np.array(list(itertools.product(range(m), repeat=norm.dim)))
-    diff = np.abs(coords[:, None, :] - coords[None, :, :])
-    delta = np.minimum(diff, m - diff)
-    dist = _metric_from_delta(delta, norm)
-    adj = dist <= s
-    np.fill_diagonal(adj, False)
-    greedy = _greedy_clique(coords, adj)
-    members, exact = _max_clique_milp(adj, time_limit)
-    witness = greedy if members is None or len(greedy) >= len(members) else members
-    pts = coords[list(witness)]
-    offsets = tuple(sorted(tuple(int(c) for c in row) for row in pts))
-    return len(witness), (exact if members is not None else False), offsets
-
-
-def build_grid(params: ModelParams, s: int, time_limit: float = 60.0) -> GridModel:
+def build_grid(params: ModelParams, s: int) -> GridModel:
     if s < 3:
         raise ValueError("need s >= 3")
     m = int(math.floor(s / params.r))
@@ -305,7 +342,7 @@ def build_grid(params: ModelParams, s: int, time_limit: float = 60.0) -> GridMod
         raise ValueError(f"grid too coarse: m={m} < 2s+3={2 * s + 3}")
     norm = params.norm
     offs = _neighbor_offsets_cached(norm.kind, norm.dim, s, m)
-    tau_s, exact, clique = _tau_s_cached(norm.kind, norm.dim, s, time_limit)
+    clique = _tau_s_cached(norm.kind, norm.dim, s)
     return GridModel(
         s=s,
         m=m,
@@ -314,8 +351,8 @@ def build_grid(params: ModelParams, s: int, time_limit: float = 60.0) -> GridMod
         norm=norm,
         D=params.n / m**norm.dim,
         nbhd_size=len(offs) + 1,
-        tau_s=tau_s,
-        tau_exact=exact,
+        tau_s=len(clique),
+        tau_exact=True,
         clique_offsets=clique,
     )
 
@@ -323,7 +360,8 @@ def build_grid(params: ModelParams, s: int, time_limit: float = 60.0) -> GridMod
 def tiny_grid(norm: Norm, m: int, s: int, n: float) -> GridModel:
     """Grid for exact-enumeration oracles; bypasses the m >= 2s+3 precondition."""
     offs = _neighbor_offsets_cached(norm.kind, norm.dim, s, m)
-    tau_s, exact, clique = _tau_s_tiny(norm, s, m)
+    cells = np.array(list(itertools.product(range(m), repeat=norm.dim)))
+    clique = _as_offsets(_max_clique(cells, norm, s, m))
     return GridModel(
         s=s,
         m=m,
@@ -332,8 +370,8 @@ def tiny_grid(norm: Norm, m: int, s: int, n: float) -> GridModel:
         norm=norm,
         D=n / m**norm.dim,
         nbhd_size=len(offs) + 1,
-        tau_s=tau_s,
-        tau_exact=exact,
+        tau_s=len(clique),
+        tau_exact=True,
         clique_offsets=clique,
     )
 
@@ -346,81 +384,31 @@ def clique_translate(grid: GridModel, anchor: CellIndex) -> frozenset:
     )
 
 
-def enumerate_max_clique_sets(
-    grid: GridModel, anchor: CellIndex, cap: int = 1000, time_limit: float = 60.0
-) -> list:
+def enumerate_max_clique_sets(grid: GridModel, anchor: CellIndex, cap: int = 1000) -> list:
     """All maximum-cardinality diameter<=s index sets containing `anchor` (up to cap)."""
-    norm = grid.norm
     s = grid.s
     m = grid.m
-    d = norm.dim
+    d = grid.norm.dim
     if m < 2 * s + 3:
         coords = np.array(list(itertools.product(range(m), repeat=d)))
-        diff = np.abs(coords[:, None, :] - coords[None, :, :])
-        delta = np.minimum(diff, m - diff)
-        cells = [tuple(int(c) for c in row) for row in coords]
+        cells = [tuple(row) for row in coords.tolist()]
+        wrap = m
     else:
-        window = list(itertools.product(range(-(s + 1), s + 2), repeat=d))
-        coords = np.array(window)
-        delta = np.abs(coords[:, None, :] - coords[None, :, :])
-        cells = [
-            tuple((a + o) % m for a, o in zip(anchor, off)) for off in window
-        ]
-    dist = _metric_from_delta(delta, norm)
-    adj = dist <= s
-    np.fill_diagonal(adj, False)
-    anchor_idx = cells.index(tuple(anchor))
-    tau = grid.tau_s
-    found = []
-    extra = []
-    n_v = len(cells)
-    comp = ~adj
-    np.fill_diagonal(comp, False)
-    iu, ju = np.nonzero(np.triu(comp))
-    rows = np.repeat(np.arange(len(iu)), 2)
-    cols = np.empty(2 * len(iu), dtype=np.int64)
-    cols[0::2] = iu
-    cols[1::2] = ju
-    base = [
-        LinearConstraint(
-            sparse.csr_matrix((np.ones(2 * len(iu)), (rows, cols)), shape=(len(iu), n_v)),
-            -np.inf,
-            1.0,
-        )
-    ]
-    lb = np.zeros(n_v)
-    lb[anchor_idx] = 1.0
-    while len(found) < cap:
-        res = milp(
-            c=-np.ones(n_v),
-            constraints=base + extra,
-            integrality=np.ones(n_v),
-            bounds=Bounds(lb, np.ones(n_v)),
-            options={"time_limit": time_limit, "disp": False},
-        )
-        if res.x is None or res.status != 0:
-            break
-        size = int(round(-res.fun))
-        if size < tau:
-            break
-        sol = np.nonzero(res.x > 0.5)[0]
-        found.append(frozenset(cells[int(v)] for v in sol))
-        # exclusion cut: this exact set cannot reappear in full
-        row = np.zeros(n_v)
-        row[sol] = 1.0
-        extra.append(LinearConstraint(row, -np.inf, size - 1))
-    return found
+        # the cells of such a set lie within metric s of the anchor, hence
+        # within per-axis offset s + 1
+        coords = np.array(list(itertools.product(range(-(s + 1), s + 2), repeat=d)))
+        cells = [tuple((a + o) % m for a, o in zip(anchor, off)) for off in coords.tolist()]
+        wrap = None
+    order, nbrs = _clique_graph(coords, grid.norm, s, wrap)
+    a = int(np.flatnonzero(order == cells.index(tuple(anchor)))[0])
+    found = _clique_search(nbrs, [a], nbrs[a], grid.tau_s - 1, cap)
+    return [frozenset(cells[order[v]] for v in clique) for clique in found]
 
 
 def set_diameter(members, grid: GridModel) -> int:
-    members = list(members)
-    if not members:
-        return 0
-    best = 0
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            best = max(best, cell_metric(members[i], members[j], grid))
-    return best
+    """Largest pairwise cell metric within `members` (0 for fewer than two cells)."""
+    cells = np.array(list(members), dtype=np.int64).reshape(-1, grid.norm.dim)
+    return int(_pairwise_metric(cells, cells, grid.norm, grid.m).max(initial=0))
 
 
 def is_maximal_clique_set(members, grid: GridModel) -> bool:
@@ -474,10 +462,6 @@ def sgraded_edge_count(cfg: CellConfig) -> int:
         cross2 += int((x * rolled).sum())
     assert cross2 % 2 == 0
     return within + cross2 // 2
-
-
-def expected_sgraded_edges(grid: GridModel) -> float:
-    return grid.mu_s
 
 
 # ---------------------------------------------------------------------------

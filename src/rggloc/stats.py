@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellConfig, GridModel, cell_metric, flat_index, sgraded_edge_count
+from .grid import CellConfig, GridModel, flat_index, sgraded_edge_count
 
 
 @dataclass(frozen=True)
@@ -237,16 +237,6 @@ def V_count(W, cfg: CellConfig, scales: DerivedScales) -> float:
 
 def h_frac(W, grid: GridModel) -> float:
     return len(set(map(tuple, W))) / grid.tau_s
-
-
-def P_excess(I, W, cfg: CellConfig, scales: DerivedScales) -> float:
-    """(1/q) sum of X_J over J in W at metric distance > s from I."""
-    grid = cfg.grid
-    total = 0
-    for J in W:
-        if cell_metric(tuple(I), tuple(J), grid) > grid.s:
-            total += cfg[tuple(J)]
-    return total / scales.q
 
 
 def sum_rate_Y(W, cfg: CellConfig) -> float:

@@ -421,7 +421,7 @@ def test_criterion_12_hull_fattening(acceptance_report):
     worst = 0.0
     ok = True
     for s in (16, 32, 64):
-        grid = build_grid(HEADLINE, s, time_limit=120.0)
+        grid = build_grid(HEADLINE, s)
         bound = 32.0 * HEADLINE.tau / s
         for c in centers:
             ball = Ball(c, 0.05, L2)  # diameter r = 0.1

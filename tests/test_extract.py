@@ -199,9 +199,7 @@ def _densest_ball_center_loop(ps, params, s=5):
 
 @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
 def test_densest_ball_center_matches_first_maximum_loop(kind):
-    # d=3 only under Linf, whose tau_s has a closed form; the L1/L2 d=3 grids
-    # need a tau_s search of 10-60 s
-    for dim in (1, 2, 3) if kind == "linf" else (1, 2):
+    for dim in (1, 2, 3):
         params = params_for_p_hat(300.0, 1.0, Norm(kind, dim))
         for k in range(3):
             for ps in (

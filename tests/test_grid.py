@@ -1,5 +1,6 @@
 """Discretized model: cell metric, neighborhoods, clique sets, hulls."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from rggloc import (
     inner_hull,
     inscribed_ball_diameter,
     max_clique_info,
-    max_clique_set_size,
     neighborhood,
     outer_hull,
     sample_cell_config,
@@ -28,6 +28,7 @@ from rggloc import (
     tiny_grid,
 )
 from rggloc.grid import (
+    _metric_from_delta,
     clique_translate,
     dump_config_csv,
     is_maximal_clique_set,
@@ -89,7 +90,7 @@ def max_clique_set_size_for(norm, s):
 
 
 def test_tau_s_l2_frozen_values():
-    # certified exact by the MILP solver; frozen here as regression anchors
+    # proved optimal by the branch and bound; frozen here as regression anchors
     assert max_clique_info(Norm("l2", 2), 8).size == 69
     info = max_clique_info(Norm("l2", 2), 8)
     assert info.exact
@@ -110,6 +111,151 @@ def test_enumerate_clique_sets_contains_anchor(l2_grid):
         assert (5, 5) in W
         assert len(W) == l2_grid.tau_s
         assert set_diameter(W, l2_grid) <= l2_grid.s
+
+
+def _graph(cells, norm, s, m=None):
+    """Adjacency sets of the cells at metric <= s, built pair by pair."""
+    adj = {i: set() for i in range(len(cells))}
+    for i, I in enumerate(cells):
+        for j, J in enumerate(cells[:i]):
+            delta = [abs(a - b) for a, b in zip(I, J)]
+            if m is not None:
+                delta = [min(c, m - c) for c in delta]
+            if int(_metric_from_delta(np.array(delta), norm)) <= s:
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj
+
+
+def _maximum_cliques(adj, P, ties=False):
+    """Reference: Bron-Kerbosch with pivoting over the vertex set P, cut where
+    no clique can beat (with `ties`, reach) the best size found so far.
+
+    Returns the maximum clique size and the maximum cliques met: all of them
+    with `ties`, otherwise at least one.
+    """
+    best = [0, []]
+
+    def bk(R, P, X):
+        if len(R) + len(P) < best[0] + (not ties):
+            return
+        if not P and not X:
+            if len(R) > best[0]:
+                best[:] = [len(R), []]
+            best[1].append(frozenset(R))
+            return
+        u = max(P | X, key=lambda v: len(P & adj[v]))
+        for v in list(P - adj[u]):
+            bk(R | {v}, P & adj[v], X & adj[v])
+            P = P - {v}
+            X = X | {v}
+
+    bk(set(), set(P), set())
+    return best
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_tau_s_matches_bron_kerbosch_on_windows(kind):
+    for dim, svals in ((1, (1, 3, 6)), (2, (1, 2, 3, 5, 8)), (3, (1, 2, 3))):
+        norm = Norm(kind, dim)
+        for s in svals:
+            cells = list(itertools.product(range(s + 2), repeat=dim))
+            adj = _graph(cells, norm, s)
+            info = max_clique_info(norm, s)
+            assert info.exact
+            assert info.size == _maximum_cliques(adj, range(len(cells)))[0]
+            assert len(info.members) == info.size
+            offs = np.array(sorted(info.members))
+            assert int(_metric_from_delta(np.abs(offs[:, None] - offs[None]), norm).max()) <= s
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_tiny_grid_tau_matches_bron_kerbosch(kind):
+    for m, dims in ((4, (1, 2, 3)), (6, (1, 2))):
+        for dim in dims:
+            norm = Norm(kind, dim)
+            # at d=3, s=3 the L1 torus graph has so many maximum cliques
+            # that the reference search takes minutes
+            for s in (1, 2, 3) if dim < 3 else (1, 2):
+                g = tiny_grid(norm, m=m, s=s, n=1.0)
+                cells = list(itertools.product(range(m), repeat=dim))
+                adj = _graph(cells, norm, s, m)
+                assert g.tau_exact
+                assert g.tau_s == _maximum_cliques(adj, range(len(cells)))[0]
+                assert len(g.clique_offsets) == g.tau_s
+                assert set_diameter(g.clique_offsets, g) <= s
+
+
+@pytest.mark.parametrize(
+    "kind,dim,s,tau",
+    [("l2", 3, 5, 160), ("l1", 3, 4, 49), ("l2", 3, 3, 56), ("l1", 3, 3, 32)],
+)
+def test_tau_s_frozen_values_d3(kind, dim, s, tau):
+    # regression anchors at d=3, where the disc-swept greedy clique is not
+    # always maximum and the proof needs a real search
+    info = max_clique_info(Norm(kind, dim), s)
+    assert info.size == tau
+    assert info.exact
+
+
+def test_enumerate_clique_sets_matches_bron_kerbosch(l2_grid):
+    s, m = l2_grid.s, l2_grid.m
+    window = list(itertools.product(range(5 - s - 1, 5 + s + 2), repeat=2))
+    adj = _graph(window, l2_grid.norm, s)
+    a = window.index((5, 5))
+    _, cliques = _maximum_cliques(adj, adj[a], ties=True)
+    ref = {frozenset(window[v] for v in W) | {(5, 5)} for W in cliques}
+    assert len(ref) == 32
+    sets = enumerate_max_clique_sets(l2_grid, (5, 5), cap=1000)
+    assert len(sets) == len(set(sets)) == 32
+    assert set(sets) == {frozenset((i % m, j % m) for i, j in W) for W in ref}
+    assert enumerate_max_clique_sets(l2_grid, (5, 5), cap=3) == sets[:3]
+
+
+def _spans(offsets):
+    """Row i of the offsets as its (i, lo, hi) column span; each row is contiguous."""
+    rows = {}
+    for i, j in offsets:
+        rows.setdefault(i, []).append(j)
+    assert all(max(js) - min(js) + 1 == len(js) for js in rows.values())
+    return [(i, min(js), max(js)) for i, js in sorted(rows.items())]
+
+
+SPANS_L2_S5 = [(0, 1, 4), (1, 0, 5), (2, 0, 5), (3, 0, 5), (4, 0, 5), (5, 1, 4)]
+SPANS_L2_S8 = [
+    (0, 1, 7), (1, 0, 8), (2, 0, 8), (3, 0, 8), (4, 0, 8), (5, 0, 8), (6, 1, 7), (7, 1, 7),
+    (8, 3, 5),
+]
+SPANS_L2_S12 = [
+    (0, 3, 9), (1, 2, 10), (2, 1, 11), (3, 0, 12), (4, 0, 12), (5, 0, 12), (6, 0, 12),
+    (7, 0, 12), (8, 0, 12), (9, 1, 11), (10, 1, 11), (11, 2, 10), (12, 4, 8),
+]
+SPANS_L2_S16 = [
+    (0, 5, 11), (1, 3, 13), (2, 2, 14), (3, 1, 15), (4, 1, 15), (5, 0, 16), (6, 0, 16),
+    (7, 0, 16), (8, 0, 16), (9, 0, 16), (10, 0, 16), (11, 0, 16), (12, 1, 15), (13, 1, 15),
+    (14, 2, 14), (15, 3, 13), (16, 5, 11),
+]
+
+
+def test_clique_offsets_pinned():
+    # canonical witnesses; the planted samplers and every output derived from
+    # them build on these shapes.  s=12 depends on the greedy sweep breaking
+    # distance ties in the window's row order.
+    assert _spans(max_clique_info(Norm("l2", 2), 5).members) == SPANS_L2_S5
+    assert _spans(max_clique_info(Norm("l2", 2), 8).members) == SPANS_L2_S8
+    assert _spans(max_clique_info(Norm("l2", 2), 12).members) == SPANS_L2_S12
+    assert _spans(max_clique_info(Norm("l2", 2), 16).members) == SPANS_L2_S16
+
+
+def test_set_diameter_matches_pairwise_loop(l2_grid):
+    rng = np.random.default_rng(5)
+    for k in (0, 1, 2, 7, 30):
+        cells = [tuple(int(c) for c in rng.integers(0, l2_grid.m, 2)) for _ in range(k)]
+        loop = max(
+            (cell_metric(I, J, l2_grid) for i, I in enumerate(cells) for J in cells[:i]),
+            default=0,
+        )
+        assert set_diameter(cells, l2_grid) == loop
 
 
 def test_sgraded_edge_count_oracle(l2_grid):
