@@ -16,54 +16,53 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, BallBoxIntersection, Box, Norm, probe_measure, torus_distance
+from .geometry import Ball, BallBoxIntersection, Box, probe_measure, torus_distance
 from .grid import (
     CellConfig,
     GridModel,
+    _shift_sum,
     build_grid,
     coarsen,
-    flat_index,
     set_diameter,
-    unflat_index,
 )
 from .points import ModelParams, PointSet, close_pairs, count_in_probe
-from .stats import DerivedScales, Q_internal, Q_cross, V_count, derived_scales
+from .stats import DerivedScales, Q_internal, Q_cross, V_count, _mask
 
 
 class InsufficientMassError(ValueError):
     """The big-cell set does not carry enough vertex mass to localize."""
 
 
+def _index_tuples(flat: np.ndarray, grid: GridModel) -> list:
+    """The index tuples of C-order flat cell indices, as Python ints."""
+    return list(zip(*(c.tolist() for c in np.unravel_index(flat, grid.shape))))
+
+
 def extract_bulk_exceedance(cfg: CellConfig, scales: DerivedScales) -> frozenset:
     """frakI = {I : X_I > M}."""
-    grid = cfg.grid
-    idx = np.nonzero(cfg.counts > scales.M)[0]
-    d = grid.norm.dim
-    return frozenset(unflat_index(int(f), grid.m, d) for f in idx)
-
-
-def _ordered(cfg: CellConfig, members) -> list:
-    """Sort by count descending, ties broken lexicographically on the index."""
-    return sorted(members, key=lambda I: (-cfg[tuple(I)], tuple(I)))
+    return frozenset(_index_tuples(np.flatnonzero(cfg.counts > scales.M), cfg.grid))
 
 
 def extract_T(cfg: CellConfig, frakI, scales: DerivedScales) -> frozenset:
-    """Shortest prefix of the sorted big-cell list with V > 1 - 2 xi / log n."""
+    """Shortest prefix of the big-cell list, sorted by count descending with ties
+    broken lexicographically on the index, with V > 1 - 2 xi / log n."""
     threshold = 1.0 - 2.0 * scales.xi / math.log(scales.n)
-    order = _ordered(cfg, frakI)
-    acc = 0.0
-    out = []
-    for I in order:
-        out.append(tuple(I))
-        acc += cfg[tuple(I)] / scales.q
-        if acc > threshold:
-            return frozenset(out)
+    grid = cfg.grid
+    cells = np.array(list(frakI), dtype=np.int64).reshape(-1, grid.norm.dim)
+    flat = np.ravel_multi_index(cells.T, grid.shape)
+    # C-order flat indices sort like the index tuples
+    order = flat[np.lexsort((flat, -cfg.counts[flat]))]
+    acc = np.cumsum(cfg.counts[order] / scales.q)
+    above = np.flatnonzero(acc > threshold)
+    if len(above):
+        return frozenset(_index_tuples(order[: above[0] + 1], grid))
+    total = float(acc[-1]) if len(acc) else 0.0
     raise InsufficientMassError(
-        f"insufficient mass: V(frakI) = {acc:.6g} <= {threshold:.6g}"
+        f"insufficient mass: V(frakI) = {total:.6g} <= {threshold:.6g}"
     )
 
 
@@ -137,13 +136,11 @@ def certify_thm2(
     diam = set_diameter_capped(frakP, grid) if card else 0
     ratio = grid.tau_s / scales.q
     if card:
-        in_mask = np.zeros(grid.num_cells, dtype=bool)
-        for I in frakP:
-            in_mask[flat_index(I, grid.m)] = True
+        in_mask = _mask(frakP, grid)
         dev_in = float(np.abs(cfg.counts[in_mask] * ratio - 1.0).max())
         outside = cfg.counts[~in_mask]
         dev_out = float(outside.max() * ratio) if outside.size else 0.0
-        qp = Q_internal(frakP, cfg, scales)
+        qp = Q_internal(in_mask, cfg, scales)
     else:
         dev_in = math.inf
         dev_out = float(cfg.counts.max() * ratio) if cfg.counts.size else 0.0
@@ -173,7 +170,6 @@ def localization_profile(cfg: CellConfig, grid: GridModel, scales: DerivedScales
     """Summary functionals for plotting: Q split across frakP, V, top counts."""
     report = certify_thm2(cfg, grid, scales)
     P = report.frakP
-    d = grid.norm.dim
     top = np.sort(cfg.counts)[::-1][:20]
     out = {
         "V_P": V_count(P, cfg, scales) if P else 0.0,
@@ -183,13 +179,9 @@ def localization_profile(cfg: CellConfig, grid: GridModel, scales: DerivedScales
         "diamP": report.diamP,
     }
     if len(P) and grid.num_cells <= 100_000:
-        comp = frozenset(
-            unflat_index(f, grid.m, d)
-            for f in range(grid.num_cells)
-            if unflat_index(f, grid.m, d) not in P
-        )
-        out["Q_P_comp"] = Q_cross(P, comp, cfg, scales)
-        out["Q_comp"] = Q_internal(comp, cfg, scales)
+        in_mask = _mask(P, grid)
+        out["Q_P_comp"] = Q_cross(in_mask, ~in_mask, cfg, scales)
+        out["Q_comp"] = Q_internal(~in_mask, cfg, scales)
     return out
 
 
@@ -252,10 +244,7 @@ def _densest_ball_center(ps: PointSet, params: ModelParams, s: int = 5) -> tuple
     """Candidate ball center: densest clique-window centroid, locally refined."""
     grid = build_grid(params, s)
     cfg = coarsen(ps, grid)
-    x = cfg.lattice()
-    acc = np.zeros_like(x)
-    for off in grid.clique_offsets:
-        acc += np.roll(x, shift=tuple(-c for c in off), axis=tuple(range(x.ndim)))
+    acc = _shift_sum(cfg.lattice(), grid.clique_offsets, grid.norm.dim)
     anchor = np.array(np.unravel_index(int(np.argmax(acc)), grid.shape))
     centroid = np.mean(np.array(grid.clique_offsets), axis=0)
     base = (anchor + centroid + 0.5) / grid.m % 1.0

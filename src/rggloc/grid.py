@@ -23,13 +23,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import rng
-from .geometry import Ball, BallBoxIntersection, Box, Norm, Probe
+from .geometry import Ball, Box, Norm, Probe
 from .points import ModelParams, PointSet
 
 CellIndex = tuple  # d-tuple of ints in {0..m-1}; 0-based throughout
@@ -448,20 +448,31 @@ def sample_cell_config(grid: GridModel, seed: int, replica: int = 0) -> CellConf
     return CellConfig(counts, grid, seed=seed)
 
 
+def _shift_sum(x: np.ndarray, offsets, d: int) -> np.ndarray:
+    """out[..., I] = sum over o in `offsets` of x[..., I + o], wrapped mod m on
+    the trailing d axes; leading axes are a batch."""
+    axes = tuple(range(x.ndim - d, x.ndim))
+    out = np.zeros_like(x)
+    for o in offsets:
+        out += np.roll(x, tuple(-c for c in o), axis=axes)
+    return out
+
+
+def _sgraded_edge_counts(x: np.ndarray, grid: GridModel) -> np.ndarray:
+    """|E_s| of each lattice in x, shape (..., *grid.shape); exact in int64."""
+    d = grid.norm.dim
+    axes = tuple(range(x.ndim - d, x.ndim))
+    if (x.sum(axis=axes).astype(float) ** 2 > 2**62).any():
+        raise OverflowError("edge count would overflow int64")
+    within = (x * (x - 1)).sum(axis=axes) // 2
+    cross2 = (x * _shift_sum(x, neighbor_offsets(grid), d)).sum(axis=axes)
+    assert (cross2 % 2 == 0).all()
+    return within + cross2 // 2
+
+
 def sgraded_edge_count(cfg: CellConfig) -> int:
     """|E_s| = sum_I [C(X_I,2) + 1/2 sum_{0<d(I,J)<=s} X_I X_J], exact."""
-    grid = cfg.grid
-    x = cfg.lattice()
-    total = int(x.sum())
-    if total and float(total) ** 2 > 2**62:
-        raise OverflowError("edge count would overflow int64")
-    within = int((x * (x - 1)).sum()) // 2
-    cross2 = 0
-    for o in neighbor_offsets(grid):
-        rolled = np.roll(x, shift=tuple(-c for c in o), axis=tuple(range(x.ndim)))
-        cross2 += int((x * rolled).sum())
-    assert cross2 % 2 == 0
-    return within + cross2 // 2
+    return int(_sgraded_edge_counts(cfg.lattice(), cfg.grid))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Seed derivation for reproducible parallel replicas.
 
-Replica streams are counter-based (Philox) and keyed by a splitmix64 mix of
-(seed, replica), so replica k's stream is fixed regardless of how many other
-replicas run or in what order.
+Streams are counter-based (Philox) and keyed by a splitmix64 mix of
+(seed, k), so stream k is fixed regardless of how many other streams run or
+in what order.  The samplers key k by replica; `importance_estimate_tail`
+keys it by chunk of replicas, which is one replica per stream whenever its
+chunk size is 1.
 """
 
 import numpy as np

@@ -19,17 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .geometry import Norm, torus_distance
+from .geometry import torus_distance
 from .grid import (
     CellConfig,
     GridModel,
-    clique_translate,
-    flat_index,
-    neighbor_offsets,
+    _sgraded_edge_counts,
     sgraded_edge_count,
     unflat_index,
 )
-from .points import ModelParams, PointSet, sample_ppp
+from .points import ModelParams, PointSet
 from .stats import derived_scales
 
 LOG2 = math.log(2.0)
@@ -64,12 +62,13 @@ def _planted_mean(grid: GridModel, t: float, include_slack: bool = True) -> floa
     return (math.sqrt(2.0 * t * grid.mu_s) + slack) / grid.tau_s
 
 
-def _log_ratio_nominal_over_tilted(S: int, D: float, Dp: float, tau_s: int) -> float:
-    """log of prod Poisson(D)/Poisson(D') over the clique set, S = sum of counts."""
+def _log_ratio_nominal_over_tilted(S, D: float, Dp: float, tau_s: int):
+    """log of prod Poisson(D)/Poisson(D') over the clique set, S = sum of counts
+    (an int, or an array of them)."""
     return S * math.log(D / Dp) + tau_s * (Dp - D)
 
 
-def _mixture_log_weight(S: int, D: float, Dp: float, tau_s: int) -> float:
+def _mixture_log_weight(S, D: float, Dp: float, tau_s: int):
     """log of f / (f/2 + g/2) given the clique-set count sum under either component."""
     lr = _log_ratio_nominal_over_tilted(S, D, Dp, tau_s)
     return LOG2 - np.logaddexp(0.0, -lr)
@@ -94,10 +93,10 @@ def planted_cell_sampler(
         return WeightedSample(
             CellConfig(counts, grid, seed=seed), 0.0, replica, "nominal", ()
         )
-    anchor = unflat_index(int(g.integers(grid.num_cells)), grid.m, grid.norm.dim)
-    clique = clique_translate(grid, anchor)
+    f = int(g.integers(grid.num_cells))
+    anchor = unflat_index(f, grid.m, grid.norm.dim)
     counts = g.poisson(D, size=grid.num_cells).astype(np.int64)
-    idx = np.array([flat_index(I, grid.m) for I in sorted(clique)])
+    idx = np.sort(_clique_cells(grid, np.array([f]))[0])
     counts[idx] = g.poisson(Dp, size=len(idx))
     S = int(counts[idx].sum())
     lw = float(_mixture_log_weight(S, D, Dp, grid.tau_s))
@@ -106,26 +105,12 @@ def planted_cell_sampler(
     )
 
 
-def _clique_flat_offsets(grid: GridModel) -> np.ndarray:
-    return np.array([flat_index(o, grid.m) for o in grid.clique_offsets])
-
-
-def _edge_pairs_tiny(grid: GridModel):
-    """Unordered adjacent flat-cell pairs for batched edge counting."""
-    m = grid.m
-    d = grid.norm.dim
-    pairs = set()
-    for f in range(grid.num_cells):
-        I = unflat_index(f, m, d)
-        for o in neighbor_offsets(grid):
-            J = tuple((c + oc) % m for c, oc in zip(I, o))
-            fj = flat_index(J, m)
-            if fj != f:
-                pairs.add((min(f, fj), max(f, fj)))
-    if not pairs:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    arr = np.array(sorted(pairs))
-    return arr[:, 0], arr[:, 1]
+def _clique_cells(grid: GridModel, anchors: np.ndarray) -> np.ndarray:
+    """Flat indices of the canonical clique set translated to each flat anchor,
+    shape (len(anchors), tau_s), in `clique_offsets` order."""
+    a = np.stack(np.unravel_index(anchors, grid.shape), axis=-1)
+    cells = (a[:, None, :] + np.array(grid.clique_offsets)) % grid.m
+    return np.ravel_multi_index(np.moveaxis(cells, -1, 0), grid.shape)
 
 
 def _estimate_from_log_u(logu: np.ndarray, n: int, t: float, threshold: float, method: str) -> TailEstimate:
@@ -165,13 +150,14 @@ def importance_estimate_tail(
     replicas: int,
     seed: int,
     include_slack: bool = True,
-    force_loop: bool = False,
 ) -> TailEstimate:
     """Unbiased estimate of P(|E_s| >= (1+t) mu_s) under the 1/2-1/2 mixture.
 
-    Small grids are batched through one derived stream; large grids draw one
-    derived stream per replica (the parallelizable path).  Both are
-    deterministic given (seed, replicas).
+    Replicas run in chunks of R (65536 on grids of at most 512 cells, else 1);
+    chunk c draws from `rng.generator(seed, c)`, in order: the nominal counts
+    (R x cells), the component coins, the anchors and the tilted clique counts
+    (R x tau_s).  So on large grids each replica has its own stream, and the
+    estimate is deterministic given (seed, replicas).
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas")
@@ -181,60 +167,21 @@ def importance_estimate_tail(
     if Dp <= D:
         raise ValueError("t too small to tilt: D' <= D")
     tau = grid.tau_s
-    if grid.num_cells <= 512 and not force_loop:
-        g = rng.generator(seed)
-        i1, i2 = _edge_pairs_tiny(grid)
-        coffs = _clique_flat_offsets(grid)
-        logu = np.full(replicas, -np.inf)
-        for lo in range(0, replicas, 65536):
-            hi = min(lo + 65536, replicas)
-            R = hi - lo
-            X = g.poisson(D, size=(R, grid.num_cells)).astype(np.int64)
-            planted = g.random(R) < 0.5
-            anchors = g.integers(grid.num_cells, size=R)
-            # clique flat indices by translated offsets (component-wise mod)
-            d = grid.norm.dim
-            m = grid.m
-            aco = np.array([unflat_index(int(a), m, d) for a in anchors])
-            offs = np.array([unflat_index(int(f), m, d) for f in coffs])
-            cl = (aco[:, None, :] + offs[None, :, :]) % m
-            clf = np.zeros((R, len(coffs)), dtype=np.int64)
-            for k in range(d):
-                clf = clf * m + cl[:, :, k]
-            tilted = g.poisson(Dp, size=(R, len(coffs))).astype(np.int64)
-            rows = np.arange(R)[:, None]
-            Xp = X.copy()
-            Xp[rows, clf] = np.where(planted[:, None], tilted, X[rows, clf])
-            S = Xp[rows, clf].sum(axis=1)
-            lr = S * math.log(D / Dp) + tau * (Dp - D)
-            lw = LOG2 - np.logaddexp(0.0, -lr)
-            edges = (Xp * (Xp - 1)).sum(axis=1) // 2
-            if len(i1):
-                edges = edges + (Xp[:, i1] * Xp[:, i2]).sum(axis=1)
-            ev = edges >= threshold
-            logu[lo:hi] = np.where(ev, lw, -np.inf)
-        return _estimate_from_log_u(logu, replicas, t, threshold, "importance")
-    # large grids: per-replica derived streams
-    coffs = _clique_flat_offsets(grid)
-    logu = np.full(replicas, -np.inf)
-    d = grid.norm.dim
-    m = grid.m
-    offs = [unflat_index(int(f), m, d) for f in coffs]
-    for k in range(replicas):
-        g = rng.generator(seed, k)
-        counts = g.poisson(D, size=grid.num_cells).astype(np.int64)
-        planted = bool(g.random() < 0.5)
-        anchor = unflat_index(int(g.integers(grid.num_cells)), m, d)
-        clf = np.array(
-            [flat_index(tuple((a + o) % m for a, o in zip(anchor, off)), m) for off in offs]
-        )
-        if planted:
-            counts[clf] = g.poisson(Dp, size=len(clf))
-        S = int(counts[clf].sum())
-        lw = float(_mixture_log_weight(S, D, Dp, tau))
-        cfg = CellConfig(counts, grid, seed=seed)
-        if sgraded_edge_count(cfg) >= threshold:
-            logu[k] = lw
+    chunk = 65536 if grid.num_cells <= 512 else 1
+    logu = np.empty(replicas)
+    for c, lo in enumerate(range(0, replicas, chunk)):
+        R = min(chunk, replicas - lo)
+        g = rng.generator(seed, c)
+        X = g.poisson(D, size=(R, grid.num_cells)).astype(np.int64)
+        planted = g.random(R) < 0.5
+        clf = _clique_cells(grid, g.integers(grid.num_cells, size=R))
+        tilted = g.poisson(Dp, size=(R, tau)).astype(np.int64)
+        rows = np.arange(R)[:, None]
+        X[rows, clf] = np.where(planted[:, None], tilted, X[rows, clf])
+        S = X[rows, clf].sum(axis=1)
+        lw = _mixture_log_weight(S, D, Dp, tau)
+        edges = _sgraded_edge_counts(X.reshape(R, *grid.shape), grid)
+        logu[lo : lo + R] = np.where(edges >= threshold, lw, -np.inf)
     return _estimate_from_log_u(logu, replicas, t, threshold, "importance")
 
 
@@ -287,7 +234,6 @@ def exact_tail_tiny(grid: GridModel, threshold: float) -> TailEstimate:
     while nc * exact_poisson_tail(D, K, "upper") > 1e-10:
         K += 1
     pmf = np.array([math.exp(-D + k * math.log(D) - math.lgamma(k + 1)) for k in range(K + 1)])
-    i1, i2 = _edge_pairs_tiny(grid)
     total = 0.0
     # chunk over the first cell's value to bound memory
     rest = list(itertools.product(range(K + 1), repeat=nc - 1)) if nc > 1 else [()]
@@ -296,9 +242,7 @@ def exact_tail_tiny(grid: GridModel, threshold: float) -> TailEstimate:
         X = np.concatenate(
             [np.full((len(rest), 1), k0, dtype=np.int64), rest], axis=1
         )
-        edges = (X * (X - 1)).sum(axis=1) // 2
-        if len(i1):
-            edges = edges + (X[:, i1] * X[:, i2]).sum(axis=1)
+        edges = _sgraded_edge_counts(X.reshape(len(X), *grid.shape), grid)
         probs = pmf[X].prod(axis=1)
         total += float(probs[edges >= threshold].sum())
     return TailEstimate(

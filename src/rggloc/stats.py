@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellConfig, GridModel, flat_index, sgraded_edge_count
+from .grid import (
+    CellConfig,
+    GridModel,
+    _shift_sum,
+    flat_index,
+    neighbor_offsets,
+    sgraded_edge_count,
+)
 
 
 @dataclass(frozen=True)
@@ -181,6 +188,9 @@ def log_poisson_pmf(D: float, k: int) -> float:
 
 
 def _mask(W, grid: GridModel) -> np.ndarray:
+    """Flat boolean mask of the index set W; a boolean mask passes through."""
+    if isinstance(W, np.ndarray) and W.dtype == bool:
+        return W
     mask = np.zeros(grid.num_cells, dtype=bool)
     for I in W:
         mask[flat_index(tuple(I), grid.m)] = True
@@ -192,30 +202,23 @@ def _pair_sums(cfg: CellConfig, mask: np.ndarray, mask2: np.ndarray | None = Non
 
     Returns 2*edges for the symmetric cases so callers can halve exactly.
     """
-    from .grid import neighbor_offsets
-
     grid = cfg.grid
     x = cfg.lattice()
-    mw = mask.reshape(grid.shape)
-    xw = np.where(mw, x, 0)
+    xw = np.where(mask.reshape(grid.shape), x, 0)
+    offs = neighbor_offsets(grid)
+    d = grid.norm.dim
     if mask2 is None:
         within = int((xw * (xw - 1)).sum()) // 2
-        cross2 = 0
-        for o in neighbor_offsets(grid):
-            rolled = np.roll(xw, shift=tuple(-c for c in o), axis=tuple(range(x.ndim)))
-            cross2 += int((xw * rolled).sum())
-        return within, cross2
-    mw2 = mask2.reshape(grid.shape)
-    xw2 = np.where(mw2, x, 0)
-    cross = 0
-    for o in neighbor_offsets(grid):
-        rolled = np.roll(xw2, shift=tuple(-c for c in o), axis=tuple(range(x.ndim)))
-        cross += int((xw * rolled).sum())
-    return cross
+        return within, int((xw * _shift_sum(xw, offs, d)).sum())
+    xw2 = np.where(mask2.reshape(grid.shape), x, 0)
+    return int((xw * _shift_sum(xw2, offs, d)).sum())
 
 
 def Q_internal(W, cfg: CellConfig, scales: DerivedScales) -> float:
-    """(2/q^2) [sum_W C(X_I,2) + 1/2 sum of neighbor products inside W]."""
+    """(2/q^2) [sum_W C(X_I,2) + 1/2 sum of neighbor products inside W].
+
+    W (here and in Q_cross) is an iterable of index tuples or a flat boolean mask.
+    """
     within, cross2 = _pair_sums(cfg, _mask(W, cfg.grid))
     return (2.0 / scales.q**2) * (within + cross2 / 2.0)
 

@@ -58,6 +58,16 @@ def test_condition_planted_profiles(tmp_path):
     assert len(doc["profiles"]) == 4
 
 
+def test_condition_defaults_to_planted(tmp_path):
+    cfg = _write_config(tmp_path, sampler={"replicas": 2})
+    doc = json.loads(cfg.read_text())
+    del doc["sampler"]["method"]
+    cfg.write_text(json.dumps(doc))
+    assert main(["condition", "--config", str(cfg)]) == 0
+    doc = json.loads((tmp_path / "out" / "profiles.json").read_text())
+    assert doc["summary"]["method"] == "planted"
+
+
 def test_extract_from_stored_samples(tmp_path):
     cfg = _write_config(tmp_path, sampler={"replicas": 3})
     assert main(["condition", "--config", str(cfg)]) == 0

@@ -91,6 +91,36 @@ def test_extract_T_insufficient_mass(big_grid, big_scales):
         extract_T(cfg, extract_bulk_exceedance(cfg, big_scales), big_scales)
 
 
+def _extract_T_loop(cfg, frakI, scales):
+    """Reference: Python sort by (-count, index), then add V cell by cell."""
+    threshold = 1.0 - 2.0 * scales.xi / math.log(scales.n)
+    acc = 0.0
+    out = []
+    for I in sorted(frakI, key=lambda I: (-cfg[I], I)):
+        out.append(I)
+        acc += cfg[I] / scales.q
+        if acc > threshold:
+            return frozenset(out)
+    raise InsufficientMassError
+
+
+def test_extract_T_matches_sorted_prefix_loop(l2_grid, l2_scales):
+    # Poisson(3) counts tie often among the largest cells, so the prefix cut
+    # depends on the index tie-break; Poisson(0.05) leaves too little mass
+    for D, seed in ((3.0, 71), (0.05, 72)):
+        for k in range(10):
+            counts = np.random.default_rng([seed, k]).poisson(D, size=l2_grid.num_cells)
+            cfg = CellConfig(counts, l2_grid)
+            frakI = extract_bulk_exceedance(cfg, l2_scales)
+            try:
+                want = _extract_T_loop(cfg, frakI, l2_scales)
+            except InsufficientMassError:
+                with pytest.raises(InsufficientMassError):
+                    extract_T(cfg, frakI, l2_scales)
+            else:
+                assert extract_T(cfg, frakI, l2_scales) == want
+
+
 def test_extract_P_filters_small_cells(big_grid, big_scales):
     cfg, W = _planted_config(big_grid, big_scales)
     frakT = extract_T(cfg, extract_bulk_exceedance(cfg, big_scales), big_scales)

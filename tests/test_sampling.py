@@ -5,7 +5,9 @@ import pytest
 from scipy import stats as sps
 
 from rggloc import (
+    CellConfig,
     Norm,
+    build_grid,
     exact_tail_tiny,
     importance_estimate_tail,
     params_for_p_hat,
@@ -15,7 +17,85 @@ from rggloc import (
     rejection_estimate_tail,
     sgraded_edge_count,
 )
-from rggloc.grid import tiny_grid
+from rggloc import rng
+from rggloc.grid import (
+    _sgraded_edge_counts,
+    clique_translate,
+    flat_index,
+    neighbor_offsets,
+    tiny_grid,
+    unflat_index,
+)
+from rggloc.sampling import _estimate_from_log_u, _mixture_log_weight, _planted_mean
+
+
+def _edge_pairs(grid):
+    """Unordered pairs of distinct adjacent flat cells, from a set of (I, I+o)."""
+    m, d = grid.m, grid.norm.dim
+    pairs = set()
+    for f in range(grid.num_cells):
+        I = unflat_index(f, m, d)
+        for o in neighbor_offsets(grid):
+            fj = flat_index(tuple((c + oc) % m for c, oc in zip(I, o)), m)
+            if fj != f:
+                pairs.add((min(f, fj), max(f, fj)))
+    arr = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    return arr[:, 0], arr[:, 1]
+
+
+def _pair_edge_counts(X, pairs):
+    """|E_s| of each row of X (flat counts) from the pair list."""
+    i1, i2 = pairs
+    return (X * (X - 1)).sum(axis=1) // 2 + (X[:, i1] * X[:, i2]).sum(axis=1)
+
+
+def _clique_flat(grid, anchor):
+    m = grid.m
+    cells = [tuple((a + o) % m for a, o in zip(anchor, off)) for off in grid.clique_offsets]
+    return np.array([flat_index(J, m) for J in cells])
+
+
+def _per_replica_reference(grid, t, replicas, seed):
+    """One derived stream per replica, scalar draws, tilted counts only when planted."""
+    D, Dp, tau = grid.D, _planted_mean(grid, t), grid.tau_s
+    threshold = (1.0 + t) * grid.mu_s
+    pairs = _edge_pairs(grid)
+    logu = np.full(replicas, -np.inf)
+    for k in range(replicas):
+        g = rng.generator(seed, k)
+        counts = g.poisson(D, size=grid.num_cells).astype(np.int64)
+        planted = bool(g.random() < 0.5)
+        anchor = unflat_index(int(g.integers(grid.num_cells)), grid.m, grid.norm.dim)
+        clf = _clique_flat(grid, anchor)
+        if planted:
+            counts[clf] = g.poisson(Dp, size=len(clf))
+        lw = float(_mixture_log_weight(int(counts[clf].sum()), D, Dp, tau))
+        if _pair_edge_counts(counts[None, :], pairs)[0] >= threshold:
+            logu[k] = lw
+    return _estimate_from_log_u(logu, replicas, t, threshold, "importance")
+
+
+def _batched_reference(grid, t, replicas, seed):
+    """One stream for all replicas, drawn in blocks of 65536."""
+    D, Dp, tau = grid.D, _planted_mean(grid, t), grid.tau_s
+    threshold = (1.0 + t) * grid.mu_s
+    pairs = _edge_pairs(grid)
+    g = rng.generator(seed)
+    logu = np.full(replicas, -np.inf)
+    for lo in range(0, replicas, 65536):
+        R = min(65536, replicas - lo)
+        X = g.poisson(D, size=(R, grid.num_cells)).astype(np.int64)
+        planted = g.random(R) < 0.5
+        anchors = g.integers(grid.num_cells, size=R)
+        clf = np.array(
+            [_clique_flat(grid, unflat_index(int(a), grid.m, grid.norm.dim)) for a in anchors]
+        )
+        tilted = g.poisson(Dp, size=(R, tau)).astype(np.int64)
+        rows = np.arange(R)[:, None]
+        X[rows, clf] = np.where(planted[:, None], tilted, X[rows, clf])
+        lw = _mixture_log_weight(X[rows, clf].sum(axis=1), D, Dp, tau)
+        logu[lo : lo + R] = np.where(_pair_edge_counts(X, pairs) >= threshold, lw, -np.inf)
+    return _estimate_from_log_u(logu, replicas, t, threshold, "importance")
 
 
 def test_exact_tail_tiny_against_closed_form(tiny):
@@ -49,6 +129,24 @@ def test_planted_sampler_determinism(tiny):
     assert a.anchor == b.anchor
 
 
+def test_planted_sampler_draws_tilted_counts_in_sorted_cell_order(tiny, l2_grid):
+    # reference: the anchor, the nominal counts, then Poisson(D') over the
+    # translated clique set in sorted index order, all from one replica stream
+    for grid in (tiny, l2_grid):
+        Dp = _planted_mean(grid, 1.0)
+        for k in range(5):
+            g = rng.generator(42, k)
+            anchor = unflat_index(int(g.integers(grid.num_cells)), grid.m, grid.norm.dim)
+            counts = g.poisson(grid.D, size=grid.num_cells).astype(np.int64)
+            idx = [flat_index(I, grid.m) for I in sorted(clique_translate(grid, anchor))]
+            counts[idx] = g.poisson(Dp, size=len(idx))
+            ws = planted_cell_sampler(grid, t=1.0, seed=42, replica=k)
+            assert ws.anchor == anchor
+            assert np.array_equal(ws.config.counts, counts)
+            lw = _mixture_log_weight(int(counts[idx].sum()), grid.D, Dp, grid.tau_s)
+            assert ws.log_weight == float(lw)
+
+
 def test_planted_sampler_rejects_bad_t(tiny):
     with pytest.raises(ValueError):
         planted_cell_sampler(tiny, t=0.0, seed=1)
@@ -76,16 +174,31 @@ def test_importance_replica_floor(tiny):
         importance_estimate_tail(tiny, t=1.0, replicas=50, seed=1)
 
 
-def test_importance_batch_and_loop_paths_agree():
-    # num_cells just above the batch cutoff forces the per-replica path; the
-    # same physical model below the cutoff uses the vectorized path
-    small = tiny_grid(Norm("linf", 1), m=6, s=3, n=6.0)
-    est_a = importance_estimate_tail(small, t=0.5, replicas=5000, seed=46)
-    est_b = importance_estimate_tail(small, t=0.5, replicas=5000, seed=46, force_loop=True)
-    # different RNG stream layouts, so agreement is statistical not bitwise
-    assert abs(math.exp(est_a.log_prob) - math.exp(est_b.log_prob)) < 4.0 * math.hypot(
-        est_a.std_err, est_b.std_err
-    )
+def test_importance_chunks_reproduce_per_replica_and_batched_streams(tiny):
+    # above 512 cells each replica is a chunk of one with its own stream, as the
+    # per-replica path drew it; on the tiny grid chunk 0 is the single batched
+    # stream, so both estimates are equal, not only statistically close
+    readme = build_grid(params_for_p_hat(1e3, 1.0, Norm("linf", 1)), 5)
+    assert readme.num_cells == 5000
+    est = importance_estimate_tail(readme, t=1.0, replicas=100, seed=11)
+    assert est.log_prob > -math.inf
+    assert est == _per_replica_reference(readme, 1.0, 100, 11)
+    est = importance_estimate_tail(tiny, t=1.0, replicas=10_000, seed=46)
+    assert est.log_prob > -math.inf
+    assert est == _batched_reference(tiny, 1.0, 10_000, 46)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_sgraded_edge_count_matches_pair_set(kind):
+    # wrapped tiny grids, where an offset o can equal -o mod m
+    for d in (1, 2):
+        for m in range(4, 8):
+            for s in (1, 2, 3):
+                grid = tiny_grid(Norm(kind, d), m=m, s=s, n=2.0 * m**d)
+                X = rng.generator(53, m * 10 + s).poisson(grid.D, size=(6, grid.num_cells))
+                want = _pair_edge_counts(X, _edge_pairs(grid)).tolist()
+                assert [sgraded_edge_count(CellConfig(x, grid)) for x in X] == want
+                assert _sgraded_edge_counts(X.reshape(6, *grid.shape), grid).tolist() == want
 
 
 def test_rejection_conditional_accepts_only_above_threshold(tiny):
