@@ -35,11 +35,13 @@ from .grid import (
     build_grid,
     coarsen,
     dump_config_csv,
+    load_config_csv,
     sample_cell_config,
     sgraded_edge_count,
+    unflat_index,
 )
 from .ldp import normalized_log_tail, rate_function, sandwich_bounds
-from .points import ModelParams, edge_count, params_for_p_hat, sample_ppp
+from .points import ModelParams, edge_count, edge_count_bruteforce, params_for_p_hat, sample_ppp
 from .sampling import (
     importance_estimate_tail,
     planted_cell_sampler,
@@ -154,7 +156,6 @@ def _derived_quantities(cfg: RunConfig) -> dict:
         "D": grid.D,
         "nbhd_size": grid.nbhd_size,
         "tau_s": grid.tau_s,
-        "tau_s_exact": grid.tau_exact,
         "mu_s": grid.mu_s,
         "p_hat": scales.p_hat,
         "q": scales.q,
@@ -236,8 +237,6 @@ def _svg_heatmap(cfg_counts, grid, highlight, title: str, path: Path):
         top = max(1, int(cfg_counts[order[0]]))
         bw = (W - 2 * pad) / len(order)
         hl = {tuple(I) for I in highlight}
-        from .grid import unflat_index
-
         for k, f in enumerate(order):
             v = int(cfg_counts[f])
             bh = (H - 2 * pad) * v / top
@@ -385,8 +384,6 @@ def cmd_extract(cfg: RunConfig, input_dir: str | None = None) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     configs = []
     if input_dir:
-        from .grid import load_config_csv
-
         for f in sorted(Path(input_dir).glob("*.csv")):
             if f.name.startswith(("accepted_", "planted_")):
                 configs.append((f.stem, load_config_csv(f.read_text(), grid)))
@@ -472,8 +469,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     derived = _derived_quantities(cfg)
     grid = build_grid(p, cfg.s)
     # edge-count oracle agreement on a few instances
-    from .points import edge_count_bruteforce
-
     ok = True
     for k in range(5):
         ps = sample_ppp(min(p.n, 500.0), p.norm, cfg.seed, replica=k)

@@ -16,12 +16,20 @@ bitsets, and one colour-bounded branch and bound (MCQ/MCS, Tomita & Seki 2003;
 Tomita et al. 2010) proves the maximum, starting from a disc-swept greedy
 clique that stays the witness whenever it is optimal.  The same search, with
 >= in place of >, enumerates the maximum sets through an anchor cell.
+
+Hulls and inscribed balls compare regions with unions of cells through one
+array helper, the per-axis wrapped (min, max) distance from a point to
+intervals.  `_cell_relation` evaluates every cell of a probe's window at once
+for a ball, a box or a ball∩box; the outer and inner hulls are its two masks.
+The inscribed ball tries a sub-grid of centers in the member cells against
+only the non-member cells of the set's 3^d neighborhood, with per-axis gaps
+on the circle of m cells: the complement point nearest a center lies on the
+union's boundary, so this is exact.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng
-from .geometry import Ball, Box, Norm, Probe
+from .geometry import Ball, Box, Norm, Probe, torus_distance
 from .points import ModelParams, PointSet
 
 CellIndex = tuple  # d-tuple of ints in {0..m-1}; 0-based throughout
@@ -54,7 +62,6 @@ class GridModel:
     D: float
     nbhd_size: int
     tau_s: int
-    tau_exact: bool
     # canonical max clique set as offsets with min corner at the origin
     clique_offsets: tuple
 
@@ -144,8 +151,6 @@ def cell_metric_numeric_oracle(
     corners = list(itertools.product((eps, 1.0 / m - eps), repeat=d))
     xs = np.array([lo_i + c for c in corners])
     ys = np.array([lo_j + c for c in corners])
-    from .geometry import torus_distance
-
     dist = torus_distance(xs[:, None, :], ys[None, :, :], grid.norm)
     best = dist.min()
     if samples > 0:
@@ -352,7 +357,6 @@ def build_grid(params: ModelParams, s: int) -> GridModel:
         D=params.n / m**norm.dim,
         nbhd_size=len(offs) + 1,
         tau_s=len(clique),
-        tau_exact=True,
         clique_offsets=clique,
     )
 
@@ -371,7 +375,6 @@ def tiny_grid(norm: Norm, m: int, s: int, n: float) -> GridModel:
         D=n / m**norm.dim,
         nbhd_size=len(offs) + 1,
         tau_s=len(clique),
-        tau_exact=True,
         clique_offsets=clique,
     )
 
@@ -478,129 +481,68 @@ def sgraded_edge_count(cfg: CellConfig) -> int:
 # ---------------------------------------------------------------------------
 # hulls and inscribed balls (the geometric side of the localization argument)
 
+_REFINE = 8  # inscribed-ball centers per cell per axis
 
-def _axis_point_interval_dists(c: float, lo: float, length: float):
-    """(min, max) wrapped distance from coordinate c to the interval [lo, lo+length]."""
-    u = (c - lo) % 1.0
-    if u <= length:
-        dmin = 0.0
-    else:
-        dmin = min(u - length, 1.0 - u)
+
+def _interval_dists(c, lo, length, period: float = 1.0):
+    """Per-axis (min, max) distance from c to the interval [lo, lo+length] on
+    a circle of circumference `period`; arrays broadcast."""
+    u = np.mod(c - lo, period)
+    dmin = np.where(u <= length, 0.0, np.minimum(u - length, period - u))
     # farthest point: an endpoint, unless the antipode falls inside the interval
-    anti = (c + 0.5 - lo) % 1.0
-    if anti <= length:
-        dmax = 0.5
-    else:
-        e0 = min(u, 1.0 - u)
-        u1 = (c - (lo + length)) % 1.0
-        e1 = min(u1, 1.0 - u1)
-        dmax = max(e0, e1)
+    u1 = np.mod(c - (lo + length), period)
+    ends = np.maximum(np.minimum(u, period - u), np.minimum(u1, period - u1))
+    dmax = np.where(np.mod(c + period / 2 - lo, period) <= length, period / 2, ends)
     return dmin, dmax
 
 
-def _cell_vs_ball(I: CellIndex, ball: Ball, m: int):
-    """(intersects, contained) of cell I vs the ball; exact for monotone norms."""
-    dmin = []
-    dmax = []
-    for k, c in enumerate(ball.center):
-        a, b = _axis_point_interval_dists(c, I[k] / m, 1.0 / m)
-        dmin.append(a)
-        dmax.append(b)
-    lo = float(ball.norm.length(np.array(dmin)))
-    hi = float(ball.norm.length(np.array(dmax)))
-    return lo <= ball.radius, hi <= ball.radius
-
-
-def _cell_vs_box(I: CellIndex, box: Box, m: int):
-    inter = True
-    cont = True
-    for k in range(len(I)):
-        u = (I[k] / m - box.corner[k]) % 1.0
-        side = box.sides[k]
-        if not (u <= side or u >= 1.0 - 1.0 / m):
-            inter = False
-        if not (u + 1.0 / m <= side + 1e-12):
-            cont = False
-    return inter, cont
-
-
-def _cell_overlap_box(I: CellIndex, box: Box, m: int):
-    """The cell∩box region as per-axis intervals [lo, lo+len] or None if empty."""
-    los = []
-    lens = []
-    for k in range(len(I)):
-        u = (I[k] / m - box.corner[k]) % 1.0  # cell start in box coordinates
-        side = box.sides[k]
-        if u <= side:
-            lo = u
-            hi = min(u + 1.0 / m, side)
-        elif u >= 1.0 - 1.0 / m:
-            lo = 0.0
-            hi = min(u + 1.0 / m - 1.0, side)
-        else:
-            return None
-        los.append((box.corner[k] + lo) % 1.0)
-        lens.append(hi - lo)
-    return los, lens
-
-
-def _cell_relation(I: CellIndex, S: Probe, m: int):
-    """Return (intersects, contained) of cell I relative to probe S."""
-    if isinstance(S, Ball):
-        return _cell_vs_ball(I, S, m)
-    if isinstance(S, Box):
-        return _cell_vs_box(I, S, m)
-    ib, cb = _cell_vs_ball(I, S.ball, m)
-    ix, cx = _cell_vs_box(I, S.box, m)
-    contained = cb and cx
-    if not (ib and ix):
-        return False, contained
-    # overlap with the box is a box; test its closest point against the ball
-    ov = _cell_overlap_box(I, S.box, m)
-    if ov is None:
-        return False, contained
-    los, lens = ov
-    dmin = []
-    for k, c in enumerate(S.ball.center):
-        a, _ = _axis_point_interval_dists(c, los[k], lens[k])
-        dmin.append(a)
-    inter = float(S.ball.norm.length(np.array(dmin))) <= S.ball.radius
-    return inter, contained
-
-
-def _probe_cell_window(S: Probe, m: int):
-    """Cells that could meet S: a wrapped per-axis index range."""
-    if isinstance(S, Ball):
-        los = [c - S.radius for c in S.center]
-        lens = [2 * S.radius] * len(S.center)
-    elif isinstance(S, Box):
-        los = list(S.corner)
-        lens = list(S.sides)
+def _cell_relation(S: Probe, m: int):
+    """The cells that could meet S (a wrapped per-axis index range around it)
+    as an (N, d) array, with the masks (intersects, contained); exact for
+    monotone norms."""
+    ball = S if isinstance(S, Ball) else getattr(S, "ball", None)
+    box = S if isinstance(S, Box) else getattr(S, "box", None)
+    if box is None:
+        los = np.asarray(ball.center) - ball.radius
+        lens = np.full(len(los), 2 * ball.radius)
     else:
-        los = list(S.box.corner)
-        lens = list(S.box.sides)
-    ranges = []
-    for lo, ln in zip(los, lens):
-        a = int(math.floor((lo % 1.0) * m)) - 1
-        count = int(math.ceil(ln * m)) + 3
-        ranges.append([(a + k) % m for k in range(min(count, m))])
-    return itertools.product(*ranges)
+        los, lens = np.asarray(box.corner), np.asarray(box.sides)
+    first = np.floor(np.mod(los, 1.0) * m).astype(np.int64) - 1
+    counts = np.minimum(np.ceil(lens * m).astype(np.int64) + 3, m)
+    axes = [(a + np.arange(k)) % m for a, k in zip(first, counts)]
+    cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    lo = cells / m
+    inter = cont = np.ones(len(cells), dtype=bool)
+    if ball is not None:
+        center = np.asarray(ball.center)
+        dmin, dmax = _interval_dists(center, lo, 1.0 / m)
+        inter = ball.norm.length(dmin) <= ball.radius
+        cont = ball.norm.length(dmax) <= ball.radius
+    if box is not None:
+        corner, sides = np.asarray(box.corner), np.asarray(box.sides)
+        u = np.mod(lo - corner, 1.0)  # cell start in box coordinates
+        head = u <= sides
+        inter = inter & (head | (u >= 1.0 - 1.0 / m)).all(axis=-1)
+        cont = cont & (u + 1.0 / m <= sides + 1e-12).all(axis=-1)
+    if ball is not None and box is not None:
+        # the cell∩box overlap is a box: its closest point must lie in the ball
+        start = np.where(head, u, 0.0)
+        end = np.minimum(np.where(head, u + 1.0 / m, u + 1.0 / m - 1.0), sides)
+        gap = _interval_dists(center, np.mod(corner + start, 1.0), end - start)[0]
+        inter = inter & (ball.norm.length(gap) <= ball.radius)
+    return cells, inter, cont
 
 
 def outer_hull(S: Probe, grid: GridModel) -> frozenset:
     """{I : A_I ∩ S nonempty}."""
-    m = grid.m
-    return frozenset(
-        I for I in _probe_cell_window(S, m) if _cell_relation(I, S, m)[0]
-    )
+    cells, inter, _ = _cell_relation(S, grid.m)
+    return frozenset(map(tuple, cells[inter].tolist()))
 
 
 def inner_hull(S: Probe, grid: GridModel) -> frozenset:
     """{I : A_I ⊆ S} (closed containment)."""
-    m = grid.m
-    return frozenset(
-        I for I in _probe_cell_window(S, m) if _cell_relation(I, S, m)[1]
-    )
+    cells, _, cont = _cell_relation(S, grid.m)
+    return frozenset(map(tuple, cells[cont].tolist()))
 
 
 @dataclass(frozen=True)
@@ -624,50 +566,43 @@ def index_union(members, grid: GridModel) -> IndexUnion:
     return IndexUnion(members=frozenset(map(tuple, members)), grid=grid)
 
 
-def inscribed_ball_diameter(members, grid: GridModel, refine: int = 8) -> float:
+def inscribed_ball_diameter(members, grid: GridModel) -> float:
     """Largest ball diameter that fits inside the union of the member cells.
 
-    Centers are searched on a sub-grid with `refine` points per cell per axis,
-    so the result is a lower bound with resolution ~ (1/m)/refine.
+    Centers are searched on a sub-grid with _REFINE points per cell per axis,
+    so the result is a lower bound with resolution ~ (1/m)/_REFINE.  A center's
+    distance to the complement is its distance to the nearest non-member cell
+    of the set's 3^d neighborhood (the nearest complement point lies on the
+    union's boundary), with per-axis gaps measured on the circle of m cells.
     """
-    members = [tuple(map(int, I)) for I in members]
-    if not members:
-        raise ValueError("empty index set")
     m = grid.m
     d = grid.norm.dim
-    ref = np.array(members[0])
-    offs = []
-    for I in members:
-        rel = (np.array(I) - ref + m // 2) % m - m // 2
-        offs.append(rel)
-    offs = np.array(offs)
-    lo = offs.min(axis=0)
-    hi = offs.max(axis=0)
-    margin = int(np.ceil((hi - lo).max() / 2)) + 2
-    member_set = {tuple(o) for o in offs}
-    grids = [np.arange(lo[k] - margin, hi[k] + margin + 1) for k in range(d)]
-    if any(len(gk) >= m for gk in grids):
-        # set spans the torus: fall back to all cells (tiny grids only)
-        grids = [np.arange(m) for _ in range(d)]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    allc = np.stack([mm.ravel() for mm in mesh], axis=-1)
-    nonmem = np.array(
-        [row for row in allc if tuple(row) not in member_set], dtype=float
+    cells = np.array(list(members), dtype=np.int64).reshape(-1, d) % m
+    if not len(cells):
+        raise ValueError("empty index set")
+    steps = np.array(list(itertools.product((-1, 0, 1), repeat=d)))
+    near = (cells[:, None, :] + steps).reshape(-1, d)
+    ring = np.setdiff1d(
+        np.ravel_multi_index(near.T, grid.shape, mode="wrap"),
+        np.ravel_multi_index(cells.T, grid.shape),
     )
-    # candidate centers: refine^d per member cell, in cell units
-    sub = (np.arange(refine) + 0.5) / refine
+    if not len(ring):
+        raise ValueError("the member cells cover the torus")
+    ring = np.stack(np.unravel_index(ring, grid.shape), axis=-1)
+    # candidate centers: _REFINE^d per member cell, in cell units
+    sub = (np.arange(_REFINE) + 0.5) / _REFINE
     shifts = np.array(list(itertools.product(sub, repeat=d)))
-    centers = (offs[:, None, :] + shifts[None, :, :]).reshape(-1, d)
+    centers = (cells[:, None, :] + shifts).reshape(-1, d)
+    # a per-axis gap takes few distinct values: tabulate them, then gather
+    cv, ci = np.unique(centers, return_inverse=True)
+    rv, ri = np.unique(ring, return_inverse=True)
+    table = _interval_dists(cv[:, None], rv, 1.0, period=m)[0]
+    ci, ri = ci.reshape(centers.shape), ri.reshape(ring.shape)
     best = 0.0
-    chunk = max(1, 2_000_000 // max(1, len(nonmem)))
+    chunk = max(1, 2**16 // len(ring))
     for i in range(0, len(centers), chunk):
-        cs = centers[i : i + chunk]
-        # per-axis distance from center to the non-member cell interval [l, l+1]
-        diff_lo = nonmem[None, :, :] - cs[:, None, :]
-        diff_hi = cs[:, None, :] - (nonmem[None, :, :] + 1.0)
-        gap = np.maximum(np.maximum(diff_lo, diff_hi), 0.0)
-        dist = grid.norm.length(gap).min(axis=1)
-        best = max(best, float(dist.max()))
+        gap = table[ci[i : i + chunk, None, :], ri]
+        best = max(best, float(grid.norm.length(gap).min(axis=1).max()))
     return 2.0 * best / m
 
 
@@ -684,22 +619,6 @@ def dump_config_csv(cfg: CellConfig) -> str:
         I = unflat_index(int(f), cfg.grid.m, d)
         rows.append(",".join(str(c) for c in I) + f",{int(cfg.counts[f])}\n")
     return header + "".join(rows)
-
-
-def config_sidecar(cfg: CellConfig) -> str:
-    g = cfg.grid
-    return json.dumps(
-        {
-            "n": g.n,
-            "r": g.r,
-            "s": g.s,
-            "m": g.m,
-            "D": g.D,
-            "norm": {"kind": g.norm.kind, "dim": g.norm.dim},
-            "seed": cfg.seed,
-        },
-        sort_keys=True,
-    )
 
 
 def load_config_csv(text: str, grid: GridModel, seed: int | None = None) -> CellConfig:

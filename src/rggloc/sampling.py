@@ -11,7 +11,6 @@ Three routes to the upper tail:
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from .grid import (
     unflat_index,
 )
 from .points import ModelParams, PointSet
-from .stats import derived_scales
+from .stats import derived_scales, exact_poisson_tail
 
 LOG2 = math.log(2.0)
 
@@ -228,16 +227,13 @@ def exact_tail_tiny(grid: GridModel, threshold: float) -> TailEstimate:
         raise ValueError("exact enumeration budget: need m^d <= 6 and D <= 5")
     D = grid.D
     # truncation cap: total error m^d * P(X > K) <= 1e-10
-    from .stats import exact_poisson_tail
-
     K = 1
     while nc * exact_poisson_tail(D, K, "upper") > 1e-10:
         K += 1
     pmf = np.array([math.exp(-D + k * math.log(D) - math.lgamma(k + 1)) for k in range(K + 1)])
     total = 0.0
     # chunk over the first cell's value to bound memory
-    rest = list(itertools.product(range(K + 1), repeat=nc - 1)) if nc > 1 else [()]
-    rest = np.array(rest, dtype=np.int64).reshape(len(rest), nc - 1)
+    rest = np.indices((K + 1,) * (nc - 1)).reshape(nc - 1, (K + 1) ** (nc - 1)).T
     for k0 in range(K + 1):
         X = np.concatenate(
             [np.full((len(rest), 1), k0, dtype=np.int64), rest], axis=1

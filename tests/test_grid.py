@@ -28,6 +28,7 @@ from rggloc import (
     tiny_grid,
 )
 from rggloc.grid import (
+    _interval_dists,
     _metric_from_delta,
     clique_translate,
     dump_config_csv,
@@ -35,7 +36,7 @@ from rggloc.grid import (
     load_config_csv,
     set_diameter,
 )
-from rggloc.geometry import Ball, probe_measure
+from rggloc.geometry import Ball, BallBoxIntersection, Box, probe_measure
 
 
 def test_build_grid_headline_numbers(l2_grid):
@@ -43,7 +44,6 @@ def test_build_grid_headline_numbers(l2_grid):
     assert l2_grid.D == pytest.approx(0.06)
     assert l2_grid.nbhd_size == 109
     assert l2_grid.tau_s == 32
-    assert l2_grid.tau_exact
     assert l2_grid.mu_s == pytest.approx(490.5)
 
 
@@ -180,7 +180,6 @@ def test_tiny_grid_tau_matches_bron_kerbosch(kind):
                 g = tiny_grid(norm, m=m, s=s, n=1.0)
                 cells = list(itertools.product(range(m), repeat=dim))
                 adj = _graph(cells, norm, s, m)
-                assert g.tau_exact
                 assert g.tau_s == _maximum_cliques(adj, range(len(cells)))[0]
                 assert len(g.clique_offsets) == g.tau_s
                 assert set_diameter(g.clique_offsets, g) <= s
@@ -322,6 +321,198 @@ def test_inscribed_ball_in_full_block(l2_grid):
     members = [(i % 50, j % 50) for i in range(10, 15) for j in range(48, 53)]
     d = inscribed_ball_diameter(members, l2_grid)
     assert d == pytest.approx(5.0 / 50.0, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# references: the per-cell hull tests and the margin-window inscribed-ball scan
+# that the array geometry replaced, kept as they were
+
+
+def _ref_axis_dists(c, lo, length):
+    u = (c - lo) % 1.0
+    dmin = 0.0 if u <= length else min(u - length, 1.0 - u)
+    if (c + 0.5 - lo) % 1.0 <= length:
+        return dmin, 0.5
+    u1 = (c - (lo + length)) % 1.0
+    return dmin, max(min(u, 1.0 - u), min(u1, 1.0 - u1))
+
+
+def _ref_vs_ball(I, ball, m):
+    dists = [_ref_axis_dists(c, I[k] / m, 1.0 / m) for k, c in enumerate(ball.center)]
+    lo = float(ball.norm.length(np.array([a for a, _ in dists])))
+    hi = float(ball.norm.length(np.array([b for _, b in dists])))
+    return lo <= ball.radius, hi <= ball.radius
+
+
+def _ref_vs_box(I, box, m):
+    us = [(I[k] / m - box.corner[k]) % 1.0 for k in range(len(I))]
+    inter = all(u <= side or u >= 1.0 - 1.0 / m for u, side in zip(us, box.sides))
+    cont = all(u + 1.0 / m <= side + 1e-12 for u, side in zip(us, box.sides))
+    return inter, cont
+
+
+def _ref_relation(I, S, m):
+    if isinstance(S, Ball):
+        return _ref_vs_ball(I, S, m)
+    if isinstance(S, Box):
+        return _ref_vs_box(I, S, m)
+    ib, cb = _ref_vs_ball(I, S.ball, m)
+    ix, cx = _ref_vs_box(I, S.box, m)
+    if not (ib and ix):
+        return False, cb and cx
+    dmin = []
+    for k, c in enumerate(S.ball.center):
+        u = (I[k] / m - S.box.corner[k]) % 1.0
+        side = S.box.sides[k]
+        lo, hi = (u, min(u + 1.0 / m, side)) if u <= side else (0.0, min(u + 1.0 / m - 1.0, side))
+        dmin.append(_ref_axis_dists(c, (S.box.corner[k] + lo) % 1.0, hi - lo)[0])
+    return float(S.ball.norm.length(np.array(dmin))) <= S.ball.radius, cb and cx
+
+
+def _ref_hulls(S, m):
+    if isinstance(S, Ball):
+        los, lens = [c - S.radius for c in S.center], [2 * S.radius] * len(S.center)
+    else:
+        box = S if isinstance(S, Box) else S.box
+        los, lens = list(box.corner), list(box.sides)
+    ranges = []
+    for lo, ln in zip(los, lens):
+        a = int(math.floor((lo % 1.0) * m)) - 1
+        count = int(math.ceil(ln * m)) + 3
+        ranges.append([(a + k) % m for k in range(min(count, m))])
+    rel = {I: _ref_relation(I, S, m) for I in itertools.product(*ranges)}
+    return (
+        frozenset(I for I, (inter, _) in rel.items() if inter),
+        frozenset(I for I, (_, cont) in rel.items() if cont),
+    )
+
+
+def _random_probes(rng, norm, count):
+    d = norm.dim
+    out = []
+    for _ in range(count):
+        c = tuple(float(x) for x in rng.random(d))
+        ball = Ball(c, float(rng.uniform(0.02, 0.24)), norm)
+        box = Box(tuple(float(x) for x in rng.random(d)),
+                  tuple(float(x) for x in rng.uniform(0.01, 0.49, d)))
+        near = Box(tuple(float(x) for x in (np.array(c) - rng.uniform(0, 0.3, d)) % 1.0),
+                   tuple(float(x) for x in rng.uniform(0.05, 0.49, d)))
+        out += [ball, box, BallBoxIntersection(ball, near)]
+    # probes whose faces sit on cell boundaries
+    return out + [Ball((0.5,) * d, 0.2, norm), Box((0.0,) * d, (0.25,) * d)]
+
+
+def test_interval_dists_match_sampled_interval():
+    # min and max over 2001 points of the interval, on circles of length 1
+    # and 7; the intervals include ones that hold the antipode of c
+    rng = np.random.default_rng(4)
+    for period in (1.0, 7.0):
+        c = rng.uniform(-period, 2 * period, 300)
+        lo = rng.uniform(0, period, 300)
+        length = rng.uniform(0, period / 2, 300)
+        length[:50] = period / 7
+        dmin, dmax = _interval_dists(c, lo, length, period=period)
+        x = np.mod(c[:, None] - lo[:, None] - length[:, None] * np.linspace(0, 1, 2001), period)
+        dist = np.minimum(x, period - x)
+        step = length / 2000
+        assert np.all(np.abs(dmin - dist.min(axis=1)) <= step + 1e-12)
+        assert np.all(np.abs(dmax - dist.max(axis=1)) <= step + 1e-12)
+    dmin, dmax = _interval_dists(0.1, 0.55, 0.1)
+    assert (dmin, dmax) == (pytest.approx(0.45), 0.5)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hulls_match_per_cell_reference(kind, dim):
+    norm = Norm(kind, dim)
+    rng = np.random.default_rng(17 + dim)
+    grids = [build_grid(ModelParams(200.0, 0.2 if dim == 3 else 0.1, norm), 3)]
+    grids += [tiny_grid(norm, m=m, s=2, n=1.0) for m in (4, 5, 6, 7)]
+    for g in grids:
+        for S in _random_probes(rng, norm, 4):
+            outer, inner = _ref_hulls(S, g.m)
+            assert outer_hull(S, g) == outer
+            assert inner_hull(S, g) == inner
+
+
+def _ref_inscribed(members, grid, refine=8):
+    members = [tuple(map(int, I)) for I in members]
+    m, d = grid.m, grid.norm.dim
+    offs = np.array([(np.array(I) - np.array(members[0]) + m // 2) % m - m // 2 for I in members])
+    lo, hi = offs.min(axis=0), offs.max(axis=0)
+    margin = int(np.ceil((hi - lo).max() / 2)) + 2
+    grids = [np.arange(lo[k] - margin, hi[k] + margin + 1) for k in range(d)]
+    # the fallback that mixed offsets with cell indices is not kept: callers
+    # must stay inside the window
+    assert all(len(gk) < m for gk in grids)
+    member_set = {tuple(o) for o in offs}
+    allc = np.stack([mm.ravel() for mm in np.meshgrid(*grids, indexing="ij")], axis=-1)
+    nonmem = np.array([row for row in allc if tuple(row) not in member_set], dtype=float)
+    sub = (np.arange(refine) + 0.5) / refine
+    shifts = np.array(list(itertools.product(sub, repeat=d)))
+    centers = (offs[:, None, :] + shifts[None, :, :]).reshape(-1, d)
+    best = 0.0
+    chunk = max(1, 2_000_000 // len(nonmem))
+    for i in range(0, len(centers), chunk):
+        cs = centers[i : i + chunk]
+        diff_lo = nonmem[None, :, :] - cs[:, None, :]
+        diff_hi = cs[:, None, :] - (nonmem[None, :, :] + 1.0)
+        gap = np.maximum(np.maximum(diff_lo, diff_hi), 0.0)
+        best = max(best, float(grid.norm.length(gap).min(axis=1).max()))
+    return 2.0 * best / m
+
+
+def test_inscribed_ball_matches_window_reference(l2_grid):
+    headline = ModelParams(150.0, 0.1, Norm("l2", 2))
+    # the criterion-13 sets (anchor (0, 0)) and anchors at the seam; the
+    # reference takes about 11 s at s=32, so that size runs once
+    cases = []
+    for s, anchors in ((8, 3), (16, 2), (32, 1)):
+        g = build_grid(headline, s)
+        cases += [(g, a) for a in [(0, 0), (g.m - 1, g.m - 3), (g.m // 2, 7)][:anchors]]
+    for kind, dim, r in (("l1", 1, 0.05), ("l1", 2, 0.1), ("linf", 2, 0.1)):
+        g = build_grid(ModelParams(200.0, r, Norm(kind, dim)), 4)
+        cases += [(g, (0,) * dim), (g, (g.m - 1,) * dim)]
+    g = build_grid(ModelParams(200.0, 0.2, Norm("l1", 3)), 3)
+    cases.append((g, (g.m - 1, 0, 0)))
+    for g, a in cases:
+        W = clique_translate(g, a)
+        assert inscribed_ball_diameter(W, g) == _ref_inscribed(W, g)
+    # a block across the seam of the m=50 grid
+    block = [(i % 50, j) for i in range(47, 53) for j in range(20, 23)]
+    assert inscribed_ball_diameter(block, l2_grid) == _ref_inscribed(block, l2_grid)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("s,r", [(3, 0.33), (4, 0.33), (3, 0.25)])
+def test_inscribed_ball_on_coarse_grids(kind, s, r):
+    # m = 9, 12, 12: the margin window of the old scan reached m here, and its
+    # fallback gave ratios of 2.25-3.3, wider than the clique sets themselves
+    g = build_grid(ModelParams(200.0, r, Norm(kind, 2)), s)
+    ratios = {
+        inscribed_ball_diameter(clique_translate(g, a), g) / g.r
+        for a in ((0, 0), (g.m - 1, 3), (4, g.m - 2), (5, 5))
+    }
+    assert len(ratios) == 1
+    ratio = ratios.pop()
+    assert 1.0 - 1.0 / s <= ratio <= (s + 2.0 * math.sqrt(2)) / (g.m * g.r)
+
+
+def test_inscribed_ball_wrapping_sets_on_tiny_grid(tiny):
+    # a width-w set holds no ball wider than w cells; the center sub-grid
+    # loses at most 1/8 cell of it
+    g = tiny_grid(Norm("linf", 2), m=7, s=2, n=1.0)
+    block = [(i % 7, j % 7) for i in range(5, 8) for j in range(3)]
+    stripe = [(i, j) for i in range(2) for j in range(7)]
+    for W, w in ((block, 3), (stripe, 2)):
+        got = inscribed_ball_diameter(W, g)
+        assert (w - 1 / 8) / 7 - 1e-12 <= got <= w / 7
+    assert inscribed_ball_diameter(block, g) == inscribed_ball_diameter(
+        [(i, j) for i in range(3) for j in range(3)], g
+    )
+    # the clique set of the m=4, s=3 line is every cell: no complement to measure
+    with pytest.raises(ValueError, match="cover the torus"):
+        inscribed_ball_diameter(tiny.clique_offsets, tiny)
 
 
 def test_config_csv_round_trip(l2_grid):

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used in its module."""
+"""Every module-level import in the package is used in its module, and no
+function imports from the package itself."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,26 @@ def test_unused_import_check_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _function_local_package_imports(source: str) -> list:
+    tree = ast.parse(source)
+    return sorted({
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    })
+
+
+def test_function_local_import_check_sees_package_imports():
+    src = "import os\ndef f():\n    import json\n    from .grid import x\n    def g():\n        from . import rng\n"
+    assert _function_local_package_imports(src) == [4, 6]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(rggloc.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_function_local_package_imports(path):
+    assert _function_local_package_imports(path.read_text()) == []
