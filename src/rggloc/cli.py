@@ -378,39 +378,39 @@ def cmd_condition(cfg: RunConfig) -> int:
 
 
 def cmd_extract(cfg: RunConfig, input_dir: str | None = None) -> int:
+    """Certify stored or freshly sampled configs one at a time: each config is
+    dropped once its report is kept, and the heatmap shows the first one."""
     p = cfg.params
     grid = build_grid(p, cfg.s)
     scales = derived_scales(grid, cfg.delta_tilde, p.delta_star, cfg.eps_tilde)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    configs = []
     if input_dir:
-        for f in sorted(Path(input_dir).glob("*.csv")):
-            if f.name.startswith(("accepted_", "planted_")):
-                configs.append((f.stem, load_config_csv(f.read_text(), grid)))
-        if not configs:
+        paths = [
+            f
+            for f in sorted(Path(input_dir).glob("*.csv"))
+            if f.name.startswith(("accepted_", "planted_"))
+        ]
+        if not paths:
             raise ConfigError(f"no stored sample CSVs under {input_dir}")
+        configs = ((f.stem, load_config_csv(f.read_text(), grid)) for f in paths)
     else:
-        for k in range(cfg.replicas):
-            ws = planted_cell_sampler(grid, cfg.t, cfg.seed, replica=k)
-            configs.append((f"planted_{k:04d}", ws.config))
+        configs = (
+            (f"planted_{k:04d}", planted_cell_sampler(grid, cfg.t, cfg.seed, replica=k).config)
+            for k in range(cfg.replicas)
+        )
     reports = []
-    files = []
+    npass = 0
     for name, c in configs:
         rep = certify_thm2(c, grid, scales, cfg.eps_tilde)
-        reports.append((name, rep))
+        if not reports:
+            name0, counts0, frakP0 = name, c.counts, rep.frakP
+        reports.append(rep.to_json())
+        npass += rep.thm2_pass
     rep_file = cfg.output_dir / "thm2_reports.json"
-    rep_file.write_text(
-        "[\n" + ",\n".join(r.to_json() for _, r in reports) + "\n]\n"
-    )
-    files.append(rep_file)
-    name0, c0 = configs[0]
+    rep_file.write_text("[\n" + ",\n".join(reports) + "\n]\n")
     svg = cfg.output_dir / "localization_heatmap.svg"
-    _svg_heatmap(
-        c0.counts, grid, reports[0][1].frakP, f"cell counts with extracted set ({name0})", svg
-    )
-    files.append(svg)
-    npass = sum(r.thm2_pass for _, r in reports)
-    _write_manifest(cfg, _derived_quantities(cfg), files)
+    _svg_heatmap(counts0, grid, frakP0, f"cell counts with extracted set ({name0})", svg)
+    _write_manifest(cfg, _derived_quantities(cfg), [rep_file, svg])
     print(f"extract: {npass}/{len(reports)} pass localization at eps_tilde={cfg.eps_tilde}")
     return 0
 
@@ -428,11 +428,12 @@ def cmd_tail(cfg: RunConfig) -> int:
         sb = sandwich_bounds(params, grid, cfg.t, cfg.eps)
         val, err = normalized_log_tail(est, params.mu, n)
         lo, hi = sb.normalized(params.mu, n)
-        rows.append((n, params.r, sb.lower_log, sb.upper_log, lo, hi, val, err))
+        rows.append((n, params.r, sb.lower_log, sb.upper_log, lo, hi, val, err,
+                     est.ess, est.n_hits, int(est.unreliable)))
     csv = cfg.output_dir / "ldp_table.csv"
     csv.write_text(
         "n,r,lower_log,upper_log,normalized_lower,normalized_upper,"
-        "normalized_estimate,normalized_err\n"
+        "normalized_estimate,normalized_err,ess,n_hits,unreliable\n"
         + "".join(
             ",".join(f"{v:.12g}" for v in row) + "\n" for row in rows
         )

@@ -28,9 +28,10 @@ from .grid import (
     build_grid,
     coarsen,
     set_diameter,
+    sgraded_edge_count,
 )
 from .points import ModelParams, PointSet, close_pairs, count_in_probe
-from .stats import DerivedScales, Q_internal, Q_cross, V_count, _mask
+from .stats import DerivedScales, Q_internal, V_count, _mask, _pair_sums
 
 
 class InsufficientMassError(ValueError):
@@ -167,7 +168,12 @@ def certify_thm2(
 
 
 def localization_profile(cfg: CellConfig, grid: GridModel, scales: DerivedScales) -> dict:
-    """Summary functionals for plotting: Q split across frakP, V, top counts."""
+    """Summary functionals for plotting: Q split across frakP, V, top counts.
+
+    On grids of at most 1e5 cells the profile adds Q(frakP, frakP^c) and
+    Q(frakP^c), with exact integer pair counts taken at the members of frakP
+    only: the complement's pairs are |E_s| - pairs(frakP) - cross(frakP, frakP^c).
+    """
     report = certify_thm2(cfg, grid, scales)
     P = report.frakP
     top = np.sort(cfg.counts)[::-1][:20]
@@ -180,8 +186,11 @@ def localization_profile(cfg: CellConfig, grid: GridModel, scales: DerivedScales
     }
     if len(P) and grid.num_cells <= 100_000:
         in_mask = _mask(P, grid)
-        out["Q_P_comp"] = Q_cross(in_mask, ~in_mask, cfg, scales)
-        out["Q_comp"] = Q_internal(~in_mask, cfg, scales)
+        within, cross2 = _pair_sums(cfg, in_mask, in_mask)
+        cross = _pair_sums(cfg, in_mask, ~in_mask)[1]
+        comp = sgraded_edge_count(cfg) - (within + cross2 // 2) - cross
+        out["Q_P_comp"] = (2.0 / scales.q**2) * cross
+        out["Q_comp"] = (2.0 / scales.q**2) * comp
     return out
 
 

@@ -611,20 +611,20 @@ def inscribed_ball_diameter(members, grid: GridModel) -> float:
 
 
 def dump_config_csv(cfg: CellConfig) -> str:
+    """Header `i0,...,i{d-1},count`, then one row per nonzero cell in C order."""
     d = cfg.grid.norm.dim
+    nz = np.flatnonzero(cfg.counts)
+    rows = np.stack([*np.unravel_index(nz, cfg.grid.shape), cfg.counts[nz]], axis=-1)
     header = ",".join(f"i{k}" for k in range(d)) + ",count\n"
-    rows = []
-    nz = np.nonzero(cfg.counts)[0]
-    for f in nz:
-        I = unflat_index(int(f), cfg.grid.m, d)
-        rows.append(",".join(str(c) for c in I) + f",{int(cfg.counts[f])}\n")
-    return header + "".join(rows)
+    line = ",".join(["%d"] * (d + 1)) + "\n"
+    return header + (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def load_config_csv(text: str, grid: GridModel, seed: int | None = None) -> CellConfig:
-    lines = [ln for ln in text.strip().splitlines() if ln]
+    """Inverse of `dump_config_csv`; the first line is a header, blank lines
+    and CR/CRLF line ends are accepted, and an index outside the grid raises."""
+    body = text.strip().replace("\r", "\n").partition("\n")[2]
+    rows = np.array(body.replace(",", " ").split(), dtype=np.int64).reshape(-1, grid.norm.dim + 1)
     counts = np.zeros(grid.num_cells, dtype=np.int64)
-    for ln in lines[1:]:
-        parts = [int(p) for p in ln.split(",")]
-        counts[flat_index(tuple(parts[:-1]), grid.m)] = parts[-1]
+    counts[np.ravel_multi_index(rows[:, :-1].T, grid.shape)] = rows[:, -1]
     return CellConfig(counts, grid, seed=seed)

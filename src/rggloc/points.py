@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import rng
 from .geometry import Norm, Probe, ball_volume_tau, probe_contains, torus_distance
@@ -132,7 +131,11 @@ def edge_count_bruteforce(ps: PointSet, r: float, norm: Norm) -> int:
 _MINKOWSKI_P = {"l1": 1, "l2": 2, "linf": np.inf}
 
 
-def _periodic_tree(x: np.ndarray) -> cKDTree:
+def _periodic_tree(x: np.ndarray):
+    """A periodic cKDTree of the points wrapped into [0, 1)^d."""
+    # imported here so that lattice-only runs never load scipy.spatial
+    from scipy.spatial import cKDTree
+
     # cKDTree(boxsize=1) rejects a coordinate of 1.0, which `% 1.0` returns
     # for tiny negative inputs such as -1e-17
     w = x % 1.0

@@ -52,6 +52,8 @@ class TailEstimate:
     threshold: float
     unreliable: bool = False
     truncation_error: float = 0.0
+    ess: float = 0.0  # effective sample size (sum w)^2 / sum w^2 over the hits
+    n_hits: int = 0  # replicas in the event
 
 
 def _planted_mean(grid: GridModel, t: float, include_slack: bool = True) -> float:
@@ -140,6 +142,8 @@ def _estimate_from_log_u(logu: np.ndarray, n: int, t: float, threshold: float, m
         method=method,
         threshold=threshold,
         unreliable=ess < 10.0,
+        ess=ess,
+        n_hits=nhit,
     )
 
 
@@ -216,7 +220,7 @@ def rejection_estimate_tail(
     return TailEstimate(
         t=t, log_prob=math.log(rate), std_err=se, rel_std_err=se / rate,
         n_replicas=replicas, method="rejection", threshold=threshold,
-        unreliable=replicas * rate < 10,
+        unreliable=replicas * rate < 10, ess=float(len(accepted)), n_hits=len(accepted),
     )
 
 

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    CellConfig,
-    GridModel,
-    _shift_sum,
-    flat_index,
-    neighbor_offsets,
-    sgraded_edge_count,
-)
+from .grid import CellConfig, GridModel, flat_index, neighbor_offsets, sgraded_edge_count
 
 
 @dataclass(frozen=True)
@@ -197,29 +190,35 @@ def _mask(W, grid: GridModel) -> np.ndarray:
     return mask
 
 
-def _pair_sums(cfg: CellConfig, mask: np.ndarray, mask2: np.ndarray | None = None):
-    """Integer pair counts: within-W edges, or W x W' cross edges (ordered once).
+def _pair_sums(cfg: CellConfig, mask: np.ndarray, mask2: np.ndarray):
+    """Exact integer pair counts of the members of W (flat boolean `mask`):
+    (sum_{I in W} C(X_I, 2), sum_{I in W} X_I sum_o X_{I+o} 1[I+o in W']),
+    over the neighbor offsets o wrapped mod m, with W' the flat mask `mask2`.
 
-    Returns 2*edges for the symmetric cases so callers can halve exactly.
+    With W' = W the second count is twice the neighbor edges inside W; with W'
+    disjoint from W it is the W x W' cross edges, each once.  Only the members
+    are gathered, one offset at a time: the cost is O(|W| |offsets|) and the
+    memory O(|W| d), whatever the lattice size.
     """
     grid = cfg.grid
-    x = cfg.lattice()
-    xw = np.where(mask.reshape(grid.shape), x, 0)
-    offs = neighbor_offsets(grid)
-    d = grid.norm.dim
-    if mask2 is None:
-        within = int((xw * (xw - 1)).sum()) // 2
-        return within, int((xw * _shift_sum(xw, offs, d)).sum())
-    xw2 = np.where(mask2.reshape(grid.shape), x, 0)
-    return int((xw * _shift_sum(xw2, offs, d)).sum())
+    members = np.flatnonzero(mask)
+    xw = cfg.counts[members]
+    cells = np.stack(np.unravel_index(members, grid.shape))
+    cross = 0
+    for o in np.array(neighbor_offsets(grid), dtype=np.int64):
+        nb = np.ravel_multi_index(cells + o[:, None], grid.shape, mode="wrap")
+        cross += int(xw @ np.where(mask2[nb], cfg.counts[nb], 0))
+    return int((xw * (xw - 1)).sum()) // 2, cross
 
 
 def Q_internal(W, cfg: CellConfig, scales: DerivedScales) -> float:
     """(2/q^2) [sum_W C(X_I,2) + 1/2 sum of neighbor products inside W].
 
-    W (here and in Q_cross) is an iterable of index tuples or a flat boolean mask.
+    W (here and in Q_cross) is an iterable of index tuples or a flat boolean
+    mask; the neighbor products are gathered at the members of W only.
     """
-    within, cross2 = _pair_sums(cfg, _mask(W, cfg.grid))
+    mask = _mask(W, cfg.grid)
+    within, cross2 = _pair_sums(cfg, mask, mask)
     return (2.0 / scales.q**2) * (within + cross2 / 2.0)
 
 
@@ -229,8 +228,7 @@ def Q_cross(W, W2, cfg: CellConfig, scales: DerivedScales) -> float:
     mw2 = _mask(W2, cfg.grid)
     if (mw & mw2).any():
         raise ValueError("Q_cross requires disjoint index sets")
-    cross = _pair_sums(cfg, mw, mw2)
-    return (2.0 / scales.q**2) * cross
+    return (2.0 / scales.q**2) * _pair_sums(cfg, mw, mw2)[1]
 
 
 def V_count(W, cfg: CellConfig, scales: DerivedScales) -> float:

@@ -92,6 +92,16 @@ def test_extract_from_stored_samples(tmp_path):
     assert (out2 / "localization_heatmap.svg").exists()
 
 
+def test_tail_table_reports_estimator_health(tmp_path):
+    cfg = _write_config(tmp_path, sampler={"replicas": 100})
+    assert main(["tail", "--config", str(cfg)]) == 0
+    header, row = (tmp_path / "out" / "ldp_table.csv").read_text().splitlines()
+    assert header.split(",")[-4:] == ["normalized_err", "ess", "n_hits", "unreliable"]
+    ess, n_hits, unreliable = row.split(",")[-3:]
+    assert 0.0 < float(ess) <= int(n_hits) <= 100
+    assert unreliable == str(int(float(ess) < 10.0))
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = _write_config(tmp_path, sampler={"replicas": 3})
     outa, outb = tmp_path / "a", tmp_path / "b"

@@ -35,6 +35,7 @@ from rggloc.grid import (
     is_maximal_clique_set,
     load_config_csv,
     set_diameter,
+    unflat_index,
 )
 from rggloc.geometry import Ball, BallBoxIntersection, Box, probe_measure
 
@@ -519,6 +520,39 @@ def test_config_csv_round_trip(l2_grid):
     cfg = sample_cell_config(l2_grid, seed=77)
     back = load_config_csv(dump_config_csv(cfg), l2_grid)
     assert np.array_equal(back.counts, cfg.counts)
+
+
+def _dump_config_csv_per_row(cfg):
+    """The per-row writer that `dump_config_csv` must reproduce byte for byte."""
+    d = cfg.grid.norm.dim
+    rows = []
+    for f in np.nonzero(cfg.counts)[0]:
+        I = unflat_index(int(f), cfg.grid.m, d)
+        rows.append(",".join(str(c) for c in I) + f",{int(cfg.counts[f])}\n")
+    return ",".join(f"i{k}" for k in range(d)) + ",count\n" + "".join(rows)
+
+
+@pytest.mark.parametrize("dim, r", [(1, 0.01), (2, 0.05), (3, 0.2)])
+def test_config_csv_matches_per_row_writer_and_round_trips(dim, r):
+    grid = build_grid(ModelParams(1000.0, r, Norm("linf", dim)), 3)
+    planted = sample_cell_config(grid, seed=78).counts
+    planted[[0, grid.num_cells // 3, grid.num_cells - 1]] = [123, 4567, 89]
+    for counts in (np.zeros(grid.num_cells, dtype=np.int64), planted):
+        cfg = CellConfig(counts, grid)
+        text = dump_config_csv(cfg)
+        assert text == _dump_config_csv_per_row(cfg)
+        crlf, cr = text.replace("\n", "\r\n"), text.replace("\n", "\r")
+        for variant in (text, crlf, cr, text + "\n\n", "\n" + crlf + "\r\n\r\n"):
+            assert np.array_equal(load_config_csv(variant, grid).counts, counts)
+    header_only = dump_config_csv(CellConfig(np.zeros(grid.num_cells, dtype=np.int64), grid))
+    assert header_only.count("\n") == 1
+    assert not load_config_csv(header_only.strip(), grid).counts.any()
+
+
+def test_config_csv_rejects_rows_off_the_grid(l2_grid):
+    for bad in ("i0,i1,count\n50,0,3\n", "i0,i1,count\n0,3\n", "i0,i1,count\n0,x,3\n"):
+        with pytest.raises(ValueError):
+            load_config_csv(bad, l2_grid)
 
 
 def test_mu_s_dominates_mu_across_settings():

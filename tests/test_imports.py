@@ -1,7 +1,11 @@
-"""Every module-level import in the package is used in its module, and no
-function imports from the package itself."""
+"""Every module-level import in the package is used in its module, no
+function imports from the package itself, and importing the CLI does not
+load scipy.spatial."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,22 @@ def test_function_local_import_check_sees_package_imports():
 )
 def test_no_function_local_package_imports(path):
     assert _function_local_package_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # lattice-only subcommands never build a kd-tree, so they should not pay
+    # for importing scipy.spatial; the first edge count loads it
+    code = "\n".join([
+        "import sys",
+        "import rggloc.cli",
+        "assert 'scipy.spatial' not in sys.modules, 'imported with rggloc.cli'",
+        "from rggloc import Norm, edge_count, edge_count_bruteforce, sample_ppp",
+        "norm = Norm('l2', 2)",
+        "ps = sample_ppp(400.0, norm, seed=5)",
+        "assert edge_count(ps, 0.1, norm) == edge_count_bruteforce(ps, 0.1, norm) > 0",
+        "assert 'scipy.spatial' in sys.modules",
+    ])
+    src = str(Path(rggloc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -159,6 +159,8 @@ def test_importance_matches_exact_on_tiny(tiny):
     diff = abs(math.exp(est.log_prob) - math.exp(exact.log_prob))
     assert diff < 3.0 * est.std_err
     assert not est.unreliable
+    # ESS <= hits by Cauchy-Schwarz, and a reliable estimate has ESS >= 10
+    assert 10.0 <= est.ess <= est.n_hits <= est.n_replicas
 
 
 def test_importance_matches_rejection_on_tiny(tiny):
@@ -213,6 +215,10 @@ def test_unreliable_flag_on_hopeless_tail(tiny):
     # plain Monte Carlo at a deep tail finds nothing and must say so
     est = rejection_estimate_tail(tiny, t=30.0, replicas=500, seed=48)
     assert est.unreliable
+    assert est.n_hits == 0 and est.ess == 0.0
+    # unit weights: the ESS of plain Monte Carlo is its hit count
+    est = rejection_estimate_tail(tiny, t=1.0, replicas=500, seed=48)
+    assert est.ess == est.n_hits == round(500 * math.exp(est.log_prob))
 
 
 def test_planted_continuum_sampler_mass():

@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 
 from rggloc import (
     CellConfig,
+    ModelParams,
+    Norm,
     Q_cross,
     Q_internal,
     V_count,
+    build_grid,
+    certify_thm2,
     derived_scales,
     event_A,
     event_B,
@@ -18,12 +22,23 @@ from rggloc import (
     exact_poisson_tail,
     h_frac,
     jensen_lower_bound,
+    localization_profile,
+    planted_cell_sampler,
     poisson_tail_bound,
     rate_Y,
     sample_cell_config,
+    sgraded_edge_count,
+    tiny_grid,
 )
-from rggloc.grid import clique_translate, unflat_index
-from rggloc.stats import log_poisson_pmf, log_poisson_sf, sum_rate_Y, truncated_edge_count
+from rggloc.grid import clique_translate, neighbor_offsets, unflat_index
+from rggloc.stats import (
+    _mask,
+    _pair_sums,
+    log_poisson_pmf,
+    log_poisson_sf,
+    sum_rate_Y,
+    truncated_edge_count,
+)
 
 from scipy import stats as sps
 
@@ -103,8 +118,6 @@ def test_partition_identity(l2_grid, l2_scales):
     """|E_s| splits exactly into internal, cross, and complement pair counts."""
     rng = np.random.default_rng(4)
     q2 = l2_scales.q**2 / 2.0
-    from rggloc import sgraded_edge_count
-
     for k in range(10):
         cfg = sample_cell_config(l2_grid, seed=61, replica=k)
         W = _random_window(l2_grid, rng, size=12)
@@ -119,6 +132,80 @@ def test_partition_identity(l2_grid, l2_scales):
             + Q_internal(comp, cfg, l2_scales)
         )
         assert total == pytest.approx(sgraded_edge_count(cfg), abs=1e-6)
+
+
+def _dense_pair_counts(cfg, mask, mask2):
+    """The dense reference for `_pair_sums`: mask the whole lattice and roll it
+    once per neighbor offset."""
+    grid = cfg.grid
+    axes = tuple(range(grid.norm.dim))
+    xw = np.where(mask.reshape(grid.shape), cfg.lattice(), 0)
+    xw2 = np.where(mask2.reshape(grid.shape), cfg.lattice(), 0)
+    cross = sum(
+        int((xw * np.roll(xw2, tuple(-c for c in o), axis=axes)).sum())
+        for o in neighbor_offsets(grid)
+    )
+    return int((xw * (xw - 1)).sum()) // 2, cross
+
+
+def _assert_pair_sums_match_dense(cfg, scales, rng):
+    grid = cfg.grid
+    n = grid.num_cells
+    one = np.zeros(n, dtype=bool)
+    one[rng.integers(n)] = True
+    anchor = tuple(int(c) for c in rng.integers(0, grid.m, grid.norm.dim))
+    masks = [np.zeros(n, dtype=bool), one, _mask(clique_translate(grid, anchor), grid)]
+    masks += [rng.random(n) < p for p in (0.01, 0.5, 0.999)]
+    k = 2.0 / scales.q**2
+    for W in masks + [~W for W in masks]:
+        within, cross2 = _dense_pair_counts(cfg, W, W)
+        cross = _dense_pair_counts(cfg, W, ~W)[1]
+        assert _pair_sums(cfg, W, W) == (within, cross2)
+        assert _pair_sums(cfg, W, ~W) == (within, cross)
+        assert Q_internal(W, cfg, scales) == k * (within + cross2 / 2.0)
+        assert Q_cross(W, ~W, cfg, scales) == k * cross
+
+
+def test_pair_sums_match_dense_rolls(l2_grid, l2_scales):
+    rng = np.random.default_rng(8)
+    for k in range(2):
+        _assert_pair_sums_match_dense(sample_cell_config(l2_grid, seed=65, replica=k), l2_scales, rng)
+        ws = planted_cell_sampler(l2_grid, 1.0, seed=66, replica=k)
+        _assert_pair_sums_match_dense(ws.config, l2_scales, rng)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_pair_sums_match_dense_rolls_on_wrapped_tiny_grids(kind):
+    # m = 4..7 < 2s+3, where an offset o can equal -o mod m
+    rng = np.random.default_rng(9)
+    for d in (1, 2):
+        for m in range(4, 8):
+            for s in (1, 2, 3):
+                grid = tiny_grid(Norm(kind, d), m=m, s=s, n=2.0 * m**d)
+                scales = derived_scales(grid, delta_tilde=1.0)
+                for k in range(2):
+                    cfg = sample_cell_config(grid, seed=67 + k, replica=m * 10 + s)
+                    _assert_pair_sums_match_dense(cfg, scales, rng)
+
+
+@pytest.mark.parametrize(
+    "params, s",
+    [(ModelParams(150.0, 0.1, Norm("l2", 2)), 5), (ModelParams(2000.0, 0.12, Norm("l1", 3)), 3)],
+    ids=["l2-d2", "l1-d3"],
+)
+def test_localization_profile_matches_dense_complement(params, s):
+    """Q(frakP, frakP^c) and Q(frakP^c) equal the dense formulas over frakP^c."""
+    grid = build_grid(params, s)
+    scales = derived_scales(grid, delta_tilde=1.0)
+    k = 2.0 / scales.q**2
+    for r in range(4):
+        cfg = planted_cell_sampler(grid, 1.0, seed=68, replica=r).config
+        prof = localization_profile(cfg, grid, scales)
+        inside = _mask(certify_thm2(cfg, grid, scales).frakP, grid)
+        assert inside.any()
+        within, cross2 = _dense_pair_counts(cfg, ~inside, ~inside)
+        assert prof["Q_P_comp"] == k * _dense_pair_counts(cfg, inside, ~inside)[1]
+        assert prof["Q_comp"] == k * (within + cross2 / 2.0)
 
 
 def test_V_squared_dominates_Q(l2_grid, l2_scales):
