@@ -38,7 +38,6 @@ from .grid import (
     load_config_csv,
     sample_cell_config,
     sgraded_edge_count,
-    unflat_index,
 )
 from .ldp import normalized_log_tail, rate_function, sandwich_bounds
 from .points import ModelParams, edge_count, edge_count_bruteforce, params_for_p_hat, sample_ppp
@@ -47,7 +46,7 @@ from .sampling import (
     planted_cell_sampler,
     rejection_conditional,
 )
-from .stats import derived_scales, exact_poisson_tail, poisson_tail_bound
+from .stats import _mask, derived_scales, exact_poisson_tail, poisson_tail_bound
 
 
 class ConfigError(ValueError):
@@ -236,12 +235,11 @@ def _svg_heatmap(cfg_counts, grid, highlight, title: str, path: Path):
         order = np.argsort(cfg_counts)[::-1][:50]
         top = max(1, int(cfg_counts[order[0]]))
         bw = (W - 2 * pad) / len(order)
-        hl = {tuple(I) for I in highlight}
+        hl = _mask(highlight, grid)
         for k, f in enumerate(order):
             v = int(cfg_counts[f])
             bh = (H - 2 * pad) * v / top
-            I = unflat_index(int(f), grid.m, grid.norm.dim)
-            color = "red" if I in hl else "#4878a8"
+            color = "red" if hl[f] else "#4878a8"
             parts.append(
                 f'<rect x="{pad + k * bw:.2f}" y="{H - pad - bh:.2f}" '
                 f'width="{bw * 0.9:.2f}" height="{bh:.2f}" fill="{color}"/>'
@@ -393,6 +391,8 @@ def cmd_extract(cfg: RunConfig, input_dir: str | None = None) -> int:
         if not paths:
             raise ConfigError(f"no stored sample CSVs under {input_dir}")
         configs = ((f.stem, load_config_csv(f.read_text(), grid)) for f in paths)
+    elif cfg.replicas < 1:
+        raise ConfigError("extract needs sampler.replicas >= 1 or --input")
     else:
         configs = (
             (f"planted_{k:04d}", planted_cell_sampler(grid, cfg.t, cfg.seed, replica=k).config)

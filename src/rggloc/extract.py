@@ -6,9 +6,11 @@ The pipeline reads a cell configuration and extracts, in order:
            normalized vertex mass V exceeds 1 - 2*xi/log(n);
   frakP  — the members of frakT whose count exceeds xi^{1/4} q / tau_s.
 
-On a localized configuration frakP is a maximal clique set carrying nearly
-all excess vertices; the certification report checks exactly that, clause by
-clause, and never throws on non-localized inputs.
+The three stages exchange sorted C-order flat int64 cell indices; the report
+holds each set as a sorted tuple of index tuples.  On a localized
+configuration frakP is a maximal clique set carrying nearly all excess
+vertices; the certification report checks exactly that, clause by clause,
+and never throws on non-localized inputs.
 """
 
 from __future__ import annotations
@@ -38,46 +40,46 @@ class InsufficientMassError(ValueError):
     """The big-cell set does not carry enough vertex mass to localize."""
 
 
-def _index_tuples(flat: np.ndarray, grid: GridModel) -> list:
+def _index_tuples(flat: np.ndarray, grid: GridModel) -> tuple:
     """The index tuples of C-order flat cell indices, as Python ints."""
-    return list(zip(*(c.tolist() for c in np.unravel_index(flat, grid.shape))))
+    return tuple(zip(*(c.tolist() for c in np.unravel_index(flat, grid.shape))))
 
 
-def extract_bulk_exceedance(cfg: CellConfig, scales: DerivedScales) -> frozenset:
+def extract_bulk_exceedance(cfg: CellConfig, scales: DerivedScales) -> np.ndarray:
     """frakI = {I : X_I > M}."""
-    return frozenset(_index_tuples(np.flatnonzero(cfg.counts > scales.M), cfg.grid))
+    return np.flatnonzero(cfg.counts > scales.M)
 
 
-def extract_T(cfg: CellConfig, frakI, scales: DerivedScales) -> frozenset:
+def extract_T(cfg: CellConfig, frakI: np.ndarray, scales: DerivedScales) -> np.ndarray:
     """Shortest prefix of the big-cell list, sorted by count descending with ties
-    broken lexicographically on the index, with V > 1 - 2 xi / log n."""
+    to the lower flat index, with V > 1 - 2 xi / log n."""
     threshold = 1.0 - 2.0 * scales.xi / math.log(scales.n)
-    grid = cfg.grid
-    cells = np.array(list(frakI), dtype=np.int64).reshape(-1, grid.norm.dim)
-    flat = np.ravel_multi_index(cells.T, grid.shape)
-    # C-order flat indices sort like the index tuples
-    order = flat[np.lexsort((flat, -cfg.counts[flat]))]
-    acc = np.cumsum(cfg.counts[order] / scales.q)
+    counts = cfg.counts[frakI]
+    # frakI is sorted, so the stable sort hands ties to the lower index
+    order = np.argsort(-counts, kind="stable")
+    acc = np.cumsum(counts[order] / scales.q)
     above = np.flatnonzero(acc > threshold)
     if len(above):
-        return frozenset(_index_tuples(order[: above[0] + 1], grid))
+        return np.sort(frakI[order[: above[0] + 1]])
     total = float(acc[-1]) if len(acc) else 0.0
     raise InsufficientMassError(
         f"insufficient mass: V(frakI) = {total:.6g} <= {threshold:.6g}"
     )
 
 
-def extract_P(cfg: CellConfig, frakT, scales: DerivedScales) -> frozenset:
+def extract_P(cfg: CellConfig, frakT: np.ndarray, scales: DerivedScales) -> np.ndarray:
     """Filter frakT by the very-large-cell threshold xi^{1/4} q / tau_s."""
     cut = scales.xi**0.25 * scales.q / cfg.grid.tau_s
-    return frozenset(tuple(I) for I in frakT if cfg[tuple(I)] > cut)
+    return frakT[cfg.counts[frakT] > cut]
 
 
 @dataclass(frozen=True)
 class LocalizationReport:
-    frakI: frozenset
-    frakT: frozenset
-    frakP: frozenset
+    """Theorem-2 clauses of one config; frakI/T/P are sorted tuples of index tuples."""
+
+    frakI: tuple
+    frakT: tuple
+    frakP: tuple
     diamP: int
     cardP: int
     max_dev_inside: float
@@ -88,15 +90,12 @@ class LocalizationReport:
     insufficient_mass: bool
 
     def to_json(self) -> str:
-        def enc(s):
-            return sorted(list(map(list, s)))
-
         return json.dumps(
             {
                 "schema": "thm2_report.v1",
-                "frakI": enc(self.frakI),
-                "frakT": enc(self.frakT),
-                "frakP": enc(self.frakP),
+                "frakI": self.frakI,
+                "frakT": self.frakT,
+                "frakP": self.frakP,
                 "diamP": self.diamP,
                 "cardP": self.cardP,
                 "max_dev_inside": self.max_dev_inside,
@@ -110,12 +109,11 @@ class LocalizationReport:
         )
 
 
-def set_diameter_capped(members, grid: GridModel, cap: int = 400) -> int:
-    """Pairwise metric diameter; quadratic, so refuse absurdly large sets."""
-    members = list(members)
-    if len(members) > cap:
+def set_diameter_capped(cells: np.ndarray, grid: GridModel, cap: int = 400) -> int:
+    """Pairwise metric diameter of (k, d) cells; quadratic, so refuse huge sets."""
+    if len(cells) > cap:
         return grid.m  # sentinel: certainly > s for any valid grid
-    return set_diameter(members, grid)
+    return set_diameter(cells, grid)
 
 
 def certify_thm2(
@@ -130,22 +128,21 @@ def certify_thm2(
     try:
         frakT = extract_T(cfg, frakI, scales)
     except InsufficientMassError:
-        frakT = frozenset()
+        frakT = frakI[:0]
         insufficient = True
     frakP = extract_P(cfg, frakT, scales)
     card = len(frakP)
-    diam = set_diameter_capped(frakP, grid) if card else 0
     ratio = grid.tau_s / scales.q
+    in_mask = np.zeros(grid.num_cells, dtype=bool)
+    in_mask[frakP] = True
+    outside = cfg.counts[~in_mask]
+    dev_out = float(outside.max() * ratio) if outside.size else 0.0
     if card:
-        in_mask = _mask(frakP, grid)
-        dev_in = float(np.abs(cfg.counts[in_mask] * ratio - 1.0).max())
-        outside = cfg.counts[~in_mask]
-        dev_out = float(outside.max() * ratio) if outside.size else 0.0
+        diam = set_diameter_capped(np.stack(np.unravel_index(frakP, grid.shape), 1), grid)
+        dev_in = float(np.abs(cfg.counts[frakP] * ratio - 1.0).max())
         qp = Q_internal(in_mask, cfg, scales)
     else:
-        dev_in = math.inf
-        dev_out = float(cfg.counts.max() * ratio) if cfg.counts.size else 0.0
-        qp = 0.0
+        diam, dev_in, qp = 0, math.inf, 0.0
     ok = (
         card >= grid.tau_s
         and diam <= grid.s
@@ -153,9 +150,9 @@ def certify_thm2(
         and dev_out <= eps_tilde
     )
     return LocalizationReport(
-        frakI=frakI,
-        frakT=frakT,
-        frakP=frakP,
+        frakI=_index_tuples(frakI, grid),
+        frakT=_index_tuples(frakT, grid),
+        frakP=_index_tuples(frakP, grid),
         diamP=diam,
         cardP=card,
         max_dev_inside=dev_in,
@@ -175,17 +172,16 @@ def localization_profile(cfg: CellConfig, grid: GridModel, scales: DerivedScales
     only: the complement's pairs are |E_s| - pairs(frakP) - cross(frakP, frakP^c).
     """
     report = certify_thm2(cfg, grid, scales)
-    P = report.frakP
+    in_mask = _mask(report.frakP, grid)
     top = np.sort(cfg.counts)[::-1][:20]
     out = {
-        "V_P": V_count(P, cfg, scales) if P else 0.0,
+        "V_P": V_count(in_mask, cfg, scales),
         "Q_P": report.QP,
         "top_counts": [int(v) for v in top],
         "cardP": report.cardP,
         "diamP": report.diamP,
     }
-    if len(P) and grid.num_cells <= 100_000:
-        in_mask = _mask(P, grid)
+    if report.cardP and grid.num_cells <= 100_000:
         within, cross2 = _pair_sums(cfg, in_mask, in_mask)
         cross = _pair_sums(cfg, in_mask, ~in_mask)[1]
         comp = sgraded_edge_count(cfg) - (within + cross2 // 2) - cross

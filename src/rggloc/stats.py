@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellConfig, GridModel, flat_index, neighbor_offsets, sgraded_edge_count
+from .grid import CellConfig, GridModel, neighbor_offsets, sgraded_edge_count
 
 
 @dataclass(frozen=True)
@@ -181,12 +181,13 @@ def log_poisson_pmf(D: float, k: int) -> float:
 
 
 def _mask(W, grid: GridModel) -> np.ndarray:
-    """Flat boolean mask of the index set W; a boolean mask passes through."""
+    """Flat boolean mask of the index tuples in W; a boolean mask passes
+    through.  An index outside the grid raises ValueError."""
     if isinstance(W, np.ndarray) and W.dtype == bool:
         return W
+    cells = np.array(list(W), dtype=np.int64).reshape(-1, grid.norm.dim)
     mask = np.zeros(grid.num_cells, dtype=bool)
-    for I in W:
-        mask[flat_index(tuple(I), grid.m)] = True
+    mask[np.ravel_multi_index(cells.T, grid.shape)] = True
     return mask
 
 
@@ -237,7 +238,7 @@ def V_count(W, cfg: CellConfig, scales: DerivedScales) -> float:
 
 
 def h_frac(W, grid: GridModel) -> float:
-    return len(set(map(tuple, W))) / grid.tau_s
+    return int(_mask(W, grid).sum()) / grid.tau_s
 
 
 def sum_rate_Y(W, cfg: CellConfig) -> float:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rggloc
 from rggloc.cli import main
 
 
@@ -90,6 +95,19 @@ def test_extract_from_stored_samples(tmp_path):
     assert len(reports) == 3
     assert all(r["schema"] == "thm2_report.v1" for r in reports)
     assert (out2 / "localization_heatmap.svg").exists()
+
+
+def test_extract_with_nothing_to_certify_is_a_config_error(tmp_path):
+    cfg = _write_config(tmp_path, sampler={"replicas": 0})
+    src = str(Path(rggloc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rggloc.cli", "extract", "--config", str(cfg)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr + proc.stdout
 
 
 def test_tail_table_reports_estimator_health(tmp_path):

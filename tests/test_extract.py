@@ -1,5 +1,6 @@
 """Localization pipeline: big-cell extraction, clique certification, reports."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -24,10 +25,12 @@ from rggloc import (
     params_for_p_hat,
     planted_cell_sampler,
     planted_continuum_sampler,
+    sample_cell_config,
     sample_ppp,
 )
-from rggloc.extract import _densest_ball_center
-from rggloc.grid import CellConfig, clique_translate, flat_index
+from rggloc.extract import _densest_ball_center, _index_tuples
+from rggloc.grid import CellConfig, clique_translate, flat_index, set_diameter, unflat_index
+from rggloc.stats import Q_internal
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +64,16 @@ def _planted_config(grid, scales, level=None):
     return CellConfig(counts, grid), W
 
 
+def _cells(flat, grid):
+    return frozenset(_index_tuples(flat, grid))
+
+
 def test_bulk_exceedance_strict_threshold(big_grid, big_scales):
     cfg, W = _planted_config(big_grid, big_scales)
-    assert extract_bulk_exceedance(cfg, big_scales) == W
+    assert _cells(extract_bulk_exceedance(cfg, big_scales), big_grid) == W
     # counts at exactly M (or below) are excluded
     lo = CellConfig(np.ones(big_grid.num_cells, dtype=np.int64), big_grid)
-    assert extract_bulk_exceedance(lo, big_scales) == frozenset()
+    assert _cells(extract_bulk_exceedance(lo, big_scales), big_grid) == frozenset()
 
 
 def test_extract_T_takes_shortest_prefix(big_grid, big_scales):
@@ -78,9 +85,9 @@ def test_extract_T_takes_shortest_prefix(big_grid, big_scales):
     counts[flat_index(far, big_grid.m)] = int(math.ceil(big_scales.M)) + 1
     cfg2 = CellConfig(counts, big_grid)
     frakI = extract_bulk_exceedance(cfg2, big_scales)
-    assert far in frakI
+    assert flat_index(far, big_grid.m) in frakI
     frakT = extract_T(cfg2, frakI, big_scales)
-    assert frakT == W
+    assert _cells(frakT, big_grid) == W
 
 
 def test_extract_T_insufficient_mass(big_grid, big_scales):
@@ -113,24 +120,24 @@ def test_extract_T_matches_sorted_prefix_loop(l2_grid, l2_scales):
             cfg = CellConfig(counts, l2_grid)
             frakI = extract_bulk_exceedance(cfg, l2_scales)
             try:
-                want = _extract_T_loop(cfg, frakI, l2_scales)
+                want = _extract_T_loop(cfg, _cells(frakI, l2_grid), l2_scales)
             except InsufficientMassError:
                 with pytest.raises(InsufficientMassError):
                     extract_T(cfg, frakI, l2_scales)
             else:
-                assert extract_T(cfg, frakI, l2_scales) == want
+                assert _cells(extract_T(cfg, frakI, l2_scales), l2_grid) == want
 
 
 def test_extract_P_filters_small_cells(big_grid, big_scales):
     cfg, W = _planted_config(big_grid, big_scales)
     frakT = extract_T(cfg, extract_bulk_exceedance(cfg, big_scales), big_scales)
-    assert extract_P(cfg, frakT, big_scales) == W
+    assert _cells(extract_P(cfg, frakT, big_scales), big_grid) == W
 
 
 def test_certify_thm2_planted_passes(big_grid, big_scales):
     cfg, W = _planted_config(big_grid, big_scales)
     rep = certify_thm2(cfg, big_grid, big_scales)
-    assert rep.frakP == W
+    assert rep.frakP == tuple(sorted(W))
     assert rep.cardP == big_grid.tau_s
     assert rep.diamP <= big_grid.s
     assert rep.max_dev_inside < 0.2
@@ -167,6 +174,101 @@ def test_report_json_schema(big_grid, big_scales):
     assert doc["schema"] == "thm2_report.v1"
     assert doc["thm2_pass"] is True
     assert len(doc["frakP"]) == big_grid.tau_s
+
+
+def _certify_thm2_tuples(cfg, grid, scales, eps_tilde=0.2):
+    """Reference: the pipeline on frozensets of index tuples, cell by cell,
+    down to the report JSON."""
+    frakI = frozenset(
+        unflat_index(int(f), grid.m, grid.norm.dim) for f in np.flatnonzero(cfg.counts > scales.M)
+    )
+    insufficient = False
+    try:
+        frakT = _extract_T_loop(cfg, frakI, scales)
+    except InsufficientMassError:
+        frakT, insufficient = frozenset(), True
+    cut = scales.xi**0.25 * scales.q / grid.tau_s
+    frakP = frozenset(I for I in frakT if cfg[I] > cut)
+    ratio = grid.tau_s / scales.q
+    mask = np.zeros(grid.num_cells, dtype=bool)
+    for I in frakP:
+        mask[flat_index(I, grid.m)] = True
+    if frakP:
+        diam = set_diameter(frakP, grid) if len(frakP) <= 400 else grid.m
+        dev_in = float(np.abs(cfg.counts[mask] * ratio - 1.0).max())
+        dev_out = float(cfg.counts[~mask].max() * ratio) if (~mask).any() else 0.0
+        qp = Q_internal(mask, cfg, scales)
+    else:
+        diam, dev_in, qp = 0, math.inf, 0.0
+        dev_out = float(cfg.counts.max() * ratio)
+
+    def enc(cells):
+        return sorted(list(map(list, cells)))
+
+    return json.dumps(
+        {
+            "schema": "thm2_report.v1",
+            "frakI": enc(frakI),
+            "frakT": enc(frakT),
+            "frakP": enc(frakP),
+            "diamP": diam,
+            "cardP": len(frakP),
+            "max_dev_inside": dev_in,
+            "max_ratio_outside": dev_out,
+            "QP": qp,
+            "thm2_pass": len(frakP) >= grid.tau_s
+            and diam <= grid.s
+            and dev_in < eps_tilde
+            and dev_out <= eps_tilde,
+            "eps_tilde": eps_tilde,
+            "insufficient_mass": insufficient,
+        },
+        sort_keys=True,
+    )
+
+
+def test_certify_thm2_json_matches_tuple_pipeline(big_grid, big_scales):
+    l2 = build_grid(params_for_p_hat(1e4, 1.0, Norm("l2", 2)), s=5)
+    l2_scales = derived_scales(l2, delta_tilde=1.0)
+    zero = np.zeros(big_grid.num_cells, dtype=np.int64)
+    lone = zero.copy()
+    lone[0] = 2  # above M but carrying ~nothing of the q mass
+    cases = [
+        *((big_grid, big_scales, planted_cell_sampler(big_grid, 1.0, 43, k).config) for k in range(3)),
+        *((big_grid, big_scales, sample_cell_config(big_grid, 47, k)) for k in range(2)),
+        *((l2, l2_scales, planted_cell_sampler(l2, 1.0, 53, k).config) for k in range(2)),
+        (big_grid, big_scales, CellConfig(zero, big_grid)),
+        (big_grid, big_scales, CellConfig(lone, big_grid)),
+    ]
+    verdicts = set()
+    for grid, scales, cfg in cases:
+        rep = certify_thm2(cfg, grid, scales)
+        assert rep.to_json() == _certify_thm2_tuples(cfg, grid, scales)
+        verdicts.add((rep.thm2_pass, rep.insufficient_mass, rep.cardP > 0))
+    # passing, failing, empty and insufficient-mass reports are all compared
+    assert {(True, False, True), (False, False, True), (False, True, False)} <= verdicts
+
+
+def test_stages_return_sorted_flat_int64(big_grid, big_scales):
+    for k in range(3):
+        cfg = planted_cell_sampler(big_grid, 1.0, 59, k).config
+        frakI = extract_bulk_exceedance(cfg, big_scales)
+        frakT = extract_T(cfg, frakI, big_scales)
+        frakP = extract_P(cfg, frakT, big_scales)
+        assert len(frakP) >= big_grid.tau_s
+        for cells in (frakI, frakT, frakP):
+            assert cells.dtype == np.int64 and cells.ndim == 1
+            assert (np.diff(cells) > 0).all()
+
+
+def test_extract_P_cut_is_strict(big_grid, big_scales):
+    # xi = 1/16 makes the cut xi^{1/4} q / tau_s the integer 5
+    scales = dataclasses.replace(big_scales, xi=1.0 / 16.0, q=10.0 * big_grid.tau_s)
+    assert scales.xi**0.25 * scales.q / big_grid.tau_s == 5.0
+    counts = np.zeros(big_grid.num_cells, dtype=np.int64)
+    counts[[3, 7, 9]] = [5, 6, 4]
+    frakT = np.array([3, 7, 9], dtype=np.int64)
+    assert extract_P(CellConfig(counts, big_grid), frakT, scales).tolist() == [7]
 
 
 def test_planted_sampler_feeds_pipeline(big_grid, big_scales):

@@ -252,6 +252,15 @@ def test_h_frac(l2_grid):
     assert h_frac([(0, 0), (0, 0)], l2_grid) == pytest.approx(1.0 / 32.0)
 
 
+def test_mask_rejects_cells_outside_the_grid(l2_grid):
+    # m = 50: (1, 0) is flat cell 50, and (0, 50) must not alias it
+    assert np.flatnonzero(_mask([(1, 0), (1, 0)], l2_grid)).tolist() == [50]
+    assert not _mask([], l2_grid).any()
+    for cell in ((0, 50), (-1, 0)):
+        with pytest.raises(ValueError):
+            _mask([cell], l2_grid)
+
+
 def test_events_on_planted_config(l2_grid, l2_scales):
     # a clique set at count ceil(q/tau_s)+1 triggers every conditioning event
     counts = np.zeros(l2_grid.num_cells, dtype=np.int64)
