@@ -15,7 +15,6 @@ and never throws on non-localized inputs.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +25,8 @@ from .geometry import Ball, BallBoxIntersection, Box, probe_measure, torus_dista
 from .grid import (
     CellConfig,
     GridModel,
+    _index_tuples,
+    _lattice,
     _shift_sum,
     build_grid,
     coarsen,
@@ -38,11 +39,6 @@ from .stats import DerivedScales, Q_internal, V_count, _mask, _pair_sums
 
 class InsufficientMassError(ValueError):
     """The big-cell set does not carry enough vertex mass to localize."""
-
-
-def _index_tuples(flat: np.ndarray, grid: GridModel) -> tuple:
-    """The index tuples of C-order flat cell indices, as Python ints."""
-    return tuple(zip(*(c.tolist() for c in np.unravel_index(flat, grid.shape))))
 
 
 def extract_bulk_exceedance(cfg: CellConfig, scales: DerivedScales) -> np.ndarray:
@@ -109,13 +105,6 @@ class LocalizationReport:
         )
 
 
-def set_diameter_capped(cells: np.ndarray, grid: GridModel, cap: int = 400) -> int:
-    """Pairwise metric diameter of (k, d) cells; quadratic, so refuse huge sets."""
-    if len(cells) > cap:
-        return grid.m  # sentinel: certainly > s for any valid grid
-    return set_diameter(cells, grid)
-
-
 def certify_thm2(
     cfg: CellConfig,
     grid: GridModel,
@@ -138,7 +127,7 @@ def certify_thm2(
     outside = cfg.counts[~in_mask]
     dev_out = float(outside.max() * ratio) if outside.size else 0.0
     if card:
-        diam = set_diameter_capped(np.stack(np.unravel_index(frakP, grid.shape), 1), grid)
+        diam = set_diameter(np.stack(np.unravel_index(frakP, grid.shape), 1), grid)
         dev_in = float(np.abs(cfg.counts[frakP] * ratio - 1.0).max())
         qp = Q_internal(in_mask, cfg, scales)
     else:
@@ -195,15 +184,6 @@ def localization_profile(cfg: CellConfig, grid: GridModel, scales: DerivedScales
 
 
 @dataclass(frozen=True)
-class ProbeFamilySpec:
-    """Deterministic probe family inside the candidate ball A."""
-
-    fractions: tuple = (0.4, 0.6, 0.8, 1.0)
-    include_boxes: bool = True
-    include_intersections: bool = True
-
-
-@dataclass(frozen=True)
 class Thm1Report:
     center: tuple
     r: float
@@ -255,30 +235,27 @@ def _densest_ball_center(ps: PointSet, params: ModelParams, s: int = 5) -> tuple
     base = (anchor + centroid + 0.5) / grid.m % 1.0
     # 5-per-axis local refinement of the center at stride (1/m)/2; the first
     # candidate with the most points in its ball of radius r/2 wins
-    offs = np.array(list(itertools.product(range(-2, 3), repeat=params.norm.dim)))
-    cands = (base + (0.5 / grid.m) * offs) % 1.0
+    cands = (base + (0.5 / grid.m) * _lattice(-2, 3, params.norm.dim)) % 1.0
     hits = close_pairs(cands, ps.points, params.r / 2.0, params.norm)[:, 0]
     return tuple(cands[int(np.argmax(np.bincount(hits, minlength=len(cands))))])
 
 
-def _clause_a_probes(A: Ball, spec: ProbeFamilySpec, eps: float, tau: float) -> list:
-    """Probes S ⊆ A with measure above (eps/16) tau; labelled for reporting."""
+def _clause_a_probes(A: Ball, eps: float, tau: float) -> list:
+    """Probes S ⊆ A with measure above (eps/16) tau, labelled for reporting:
+    concentric balls at 0.4, 0.6, 0.8 and 1.0 of the radius, the inscribed
+    cube and one ball∩box."""
     d = A.norm.dim
-    out = []
-    for f in spec.fractions:
-        out.append((f"ball_f{f:g}", Ball(A.center, A.radius * f, A.norm)))
-    if spec.include_boxes:
-        # largest centered cube inside A: half-side = radius (Linf), radius/d (L1),
-        # radius/sqrt(d) (L2)
-        scale = {"linf": 1.0, "l2": 1.0 / math.sqrt(d), "l1": 1.0 / d}[A.norm.kind]
-        half = A.radius * scale * 0.999
-        corner = tuple((c - half) % 1.0 for c in A.center)
-        out.append(("inscribed_box", Box(corner=corner, sides=(2 * half,) * d)))
-    if spec.include_intersections:
-        half = A.radius * 0.8
-        corner = tuple((c - half * 0.2) % 1.0 for c in A.center)
-        box = Box(corner=corner, sides=(half,) * d)
-        out.append(("ball_box", BallBoxIntersection(ball=A, box=box)))
+    out = [(f"ball_f{f:g}", Ball(A.center, A.radius * f, A.norm)) for f in (0.4, 0.6, 0.8, 1.0)]
+    # largest centered cube inside A: half-side = radius (Linf), radius/d (L1),
+    # radius/sqrt(d) (L2)
+    scale = {"linf": 1.0, "l2": 1.0 / math.sqrt(d), "l1": 1.0 / d}[A.norm.kind]
+    half = A.radius * scale * 0.999
+    corner = tuple((c - half) % 1.0 for c in A.center)
+    out.append(("inscribed_box", Box(corner=corner, sides=(2 * half,) * d)))
+    half = A.radius * 0.8
+    corner = tuple((c - half * 0.2) % 1.0 for c in A.center)
+    box = Box(corner=corner, sides=(half,) * d)
+    out.append(("ball_box", BallBoxIntersection(ball=A, box=box)))
     floor = (eps / 16.0) * tau
     return [(name, S) for name, S in out if probe_measure(S) > floor]
 
@@ -288,7 +265,6 @@ def certify_thm1(
     params: ModelParams,
     delta: float,
     eps: float,
-    probes: ProbeFamilySpec = ProbeFamilySpec(),
     s: int = 5,
 ) -> Thm1Report:
     """Evaluate the localization event on a continuum sample.
@@ -308,7 +284,7 @@ def certify_thm1(
     worst_a = -1.0
     worst_name = ""
     margin_sa = abs(count_A / target - 1.0)
-    clause_a = _clause_a_probes(A, probes, eps, tau)
+    clause_a = _clause_a_probes(A, eps, tau)
     for name, S in clause_a:
         k = count_in_probe(ps, S)
         margin = abs(k / target - probe_measure(S) / tau)
@@ -333,8 +309,8 @@ def certify_thm1(
         keep_cell = np.minimum(np.floor(keep / stride).astype(np.int64), kgrid - 1)
         table[np.ravel_multi_index(keep_cell.T, shape)] = np.arange(len(keep))
         pt_cell = np.minimum(np.floor(ps.points / stride).astype(np.int64), kgrid - 1)
-        for off in itertools.product(range(-1, 2), repeat=d):
-            cand = (pt_cell + np.array(off)) % kgrid
+        for off in _lattice(-1, 2, d):
+            cand = (pt_cell + off) % kgrid
             ki = table[np.ravel_multi_index(cand.T, shape)]
             sel = ki >= 0
             if not sel.any():

@@ -9,6 +9,16 @@ closed form floor(||max(delta-1, 0)||) + 1 with delta the wrapped per-axis
 cell offset.  Two cells are "adjacent" (their points can be graph neighbors)
 when d(I,J) <= s.
 
+Every question of the form "which cells lie within metric s" takes one array
+path.  `_metric_blocks` evaluates the closed form between two cell arrays in
+blocks of 256 rows, so memory stays linear in the larger set: it gives the
+exact set diameter at any size, the clique graph's adjacency, and the
+maximality test (no outside cell within s of every member).  `_cell_range`
+picks the offsets once, the (2s+3)^d window or, when m < 2s+3, the whole
+grid, for both the neighbour offsets and the enumeration window, and
+`_translate` moves an offset list to anchor cells for neighborhoods, clique
+translates and the planted samplers.
+
 tau_s, the largest set of cells with pairwise metric <= s, is a maximum clique
 of this adjacency: on the (s+2)^d window for a grid with m >= 2s+3, on the
 whole wrapped grid otherwise.  `_clique_graph` packs the graph into Python-int
@@ -29,7 +39,6 @@ union's boundary, so this is exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -98,7 +107,7 @@ class CellConfig:
         return self.counts.reshape(self.grid.shape)
 
     def __getitem__(self, I: CellIndex) -> int:
-        return int(self.counts[flat_index(I, self.grid.m)])
+        return int(self.counts[np.ravel_multi_index(I, self.grid.shape)])
 
 
 def flat_index(I: CellIndex, m: int) -> int:
@@ -114,6 +123,30 @@ def unflat_index(f: int, m: int, d: int) -> CellIndex:
         out.append(f % m)
         f //= m
     return tuple(reversed(out))
+
+
+def _lattice(lo: int, hi: int, d: int) -> np.ndarray:
+    """The integer points of [lo, hi)^d as rows, in C order."""
+    return np.indices((hi - lo,) * d).reshape(d, -1).T + lo
+
+
+def _rows(members, grid: GridModel) -> np.ndarray:
+    """Index tuples (or a (k, d) array) as (k, d) int64 rows reduced mod m."""
+    return np.array(list(members), dtype=np.int64).reshape(-1, grid.norm.dim) % grid.m
+
+
+def _index_tuples(flat: np.ndarray, grid: GridModel) -> tuple:
+    """The index tuples of C-order flat cell indices, as Python ints."""
+    return tuple(zip(*(c.tolist() for c in np.unravel_index(flat, grid.shape))))
+
+
+def _translate(grid: GridModel, anchors, offsets) -> np.ndarray:
+    """Flat indices of anchor + o, wrapped mod m, for each anchor (a d-tuple or
+    (k, d) rows) and offset: shape (k, len(offsets)), columns in `offsets` order."""
+    d = grid.norm.dim
+    offs = np.array(offsets, dtype=np.int64).reshape(-1, d)
+    cells = (np.reshape(anchors, (-1, 1, d)) + offs) % grid.m
+    return np.ravel_multi_index(np.moveaxis(cells, -1, 0), grid.shape)
 
 
 def _metric_from_delta(delta: np.ndarray, norm: Norm) -> np.ndarray:
@@ -148,9 +181,9 @@ def cell_metric_numeric_oracle(
     eps = 1e-7 / m
     lo_i = np.array(I, dtype=float) / m
     lo_j = np.array(J, dtype=float) / m
-    corners = list(itertools.product((eps, 1.0 / m - eps), repeat=d))
-    xs = np.array([lo_i + c for c in corners])
-    ys = np.array([lo_j + c for c in corners])
+    corners = np.where(_lattice(0, 2, d) == 1, 1.0 / m - eps, eps)
+    xs = lo_i + corners
+    ys = lo_j + corners
     dist = torus_distance(xs[:, None, :], ys[None, :, :], grid.norm)
     best = dist.min()
     if samples > 0:
@@ -161,28 +194,21 @@ def cell_metric_numeric_oracle(
     return int(math.ceil(m * best - 1e-9))
 
 
+def _cell_range(s: int, m: int, d: int):
+    """The offsets at which a cell can lie within metric s, and the modulus
+    their metric wraps by: the (2s+3)^d window, unwrapped, when m >= 2s+3
+    (per-axis offsets up to s+1 suffice since g_k <= ||g||); otherwise every
+    cell of the grid, wrapped mod m."""
+    if m >= 2 * s + 3:
+        return _lattice(-(s + 1), s + 2, d), None
+    return _lattice(0, m, d), m
+
+
 @lru_cache(maxsize=64)
 def _neighbor_offsets_cached(kind: str, dim: int, s: int, m: int) -> tuple:
-    norm = Norm(kind, dim)
-    offs = []
-    if m >= 2 * s + 3:
-        # window: per-axis offsets up to s+1 suffice since g_k <= ||g||
-        rng_ = range(-(s + 1), s + 2)
-        for o in itertools.product(rng_, repeat=dim):
-            if all(c == 0 for c in o):
-                continue
-            delta = np.abs(np.array(o))
-            if int(_metric_from_delta(delta, norm)) <= s:
-                offs.append(o)
-    else:
-        # tiny wrapped grid: enumerate every nonzero offset directly
-        for o in itertools.product(range(m), repeat=dim):
-            if all(c == 0 for c in o):
-                continue
-            delta = np.array([min(c, m - c) for c in o])
-            if int(_metric_from_delta(delta, norm)) <= s:
-                offs.append(o)
-    return tuple(offs)
+    span, _ = _cell_range(s, m, dim)
+    dist = _pairwise_metric(span, np.zeros((1, dim), dtype=np.int64), Norm(kind, dim), m)[:, 0]
+    return tuple(map(tuple, span[(dist > 0) & (dist <= s)].tolist()))
 
 
 def neighbor_offsets(grid: GridModel) -> tuple:
@@ -191,11 +217,8 @@ def neighbor_offsets(grid: GridModel) -> tuple:
 
 
 def neighborhood(I: CellIndex, grid: GridModel) -> frozenset:
-    m = grid.m
-    out = {tuple(I)}
-    for o in neighbor_offsets(grid):
-        out.add(tuple((c + oc) % m for c, oc in zip(I, o)))
-    return frozenset(out)
+    offs = ((0,) * grid.norm.dim, *neighbor_offsets(grid))
+    return frozenset(_index_tuples(_translate(grid, I, offs)[0], grid))
 
 
 def _pairwise_metric(a: np.ndarray, b: np.ndarray, norm: Norm, m: int | None = None) -> np.ndarray:
@@ -206,6 +229,14 @@ def _pairwise_metric(a: np.ndarray, b: np.ndarray, norm: Norm, m: int | None = N
     return _metric_from_delta(delta, norm)
 
 
+def _metric_blocks(a: np.ndarray, b: np.ndarray, norm: Norm, m: int | None = None):
+    """`_pairwise_metric(a, b, norm, m)` in blocks of 256 rows of `a`, so the
+    int64/float intermediates hold 256 * len(b) * d entries at a time: the s=64
+    window has 4356 cells, and one block of all pairs would take over 1 GB."""
+    for i in range(0, len(a), 256):
+        yield _pairwise_metric(a[i : i + 256], b, norm, m)
+
+
 def _clique_graph(cells: np.ndarray, norm: Norm, s: int, m: int | None = None):
     """The graph on `cells` joining pairs at cell metric <= s, no self-loops.
 
@@ -213,10 +244,7 @@ def _clique_graph(cells: np.ndarray, norm: Norm, s: int, m: int | None = None):
     returns `order`, the row of `cells` behind each vertex, and the adjacency
     as one Python-int bitset per vertex (bit u of nbrs[v] set iff u ~ v).
     """
-    # row blocks keep the int64/float intermediates small: the s=64 window
-    # has 4356 cells, and one block of all pairs would take over 1 GB
-    blocks = range(0, len(cells), 256)
-    adj = np.vstack([_pairwise_metric(cells[i : i + 256], cells, norm, m) <= s for i in blocks])
+    adj = np.vstack([blk <= s for blk in _metric_blocks(cells, cells, norm, m)])
     np.fill_diagonal(adj, False)
     order = np.argsort(-adj.sum(axis=1), kind="stable")
     rows = np.packbits(adj[order][:, order], axis=1, bitorder="little")
@@ -232,8 +260,8 @@ def _greedy_clique(pts: np.ndarray, order: np.ndarray, nbrs: list) -> list:
     w = int(pts.max()) + 1 if len(pts) else 0
     full = (1 << len(nbrs)) - 1
     best: list = []
-    for c in itertools.product(np.arange(0, w, 1.0), repeat=pts.shape[1]):
-        dist = ((pts - np.array(c)) ** 2).sum(axis=1)
+    for c in _lattice(0, w, pts.shape[1]).astype(float):
+        dist = ((pts - c) ** 2).sum(axis=1)
         cur = []
         mask = full
         for v in np.lexsort((order, dist)).tolist():
@@ -329,14 +357,27 @@ def _tau_s_cached(kind: str, dim: int, s: int) -> tuple:
     The (s+2)^d window holds every set of diameter <= s up to translation; the
     witness is moved so that its min corner is the origin.
     """
-    window = np.array(list(itertools.product(range(s + 2), repeat=dim)))
-    pts = _max_clique(window, Norm(kind, dim), s)
+    pts = _max_clique(_lattice(0, s + 2, dim), Norm(kind, dim), s)
     return _as_offsets(pts - pts.min(axis=0))
 
 
 def max_clique_info(norm: Norm, s: int) -> CliqueResult:
     offsets = _tau_s_cached(norm.kind, norm.dim, s)
     return CliqueResult(members=frozenset(offsets), size=len(offsets), exact=True)
+
+
+def _grid_model(norm: Norm, s: int, m: int, n: float, r: float, clique: tuple) -> GridModel:
+    return GridModel(
+        s=s,
+        m=m,
+        n=n,
+        r=r,
+        norm=norm,
+        D=n / m**norm.dim,
+        nbhd_size=len(_neighbor_offsets_cached(norm.kind, norm.dim, s, m)) + 1,
+        tau_s=len(clique),
+        clique_offsets=clique,
+    )
 
 
 def build_grid(params: ModelParams, s: int) -> GridModel:
@@ -346,88 +387,54 @@ def build_grid(params: ModelParams, s: int) -> GridModel:
     if m < 2 * s + 3:
         raise ValueError(f"grid too coarse: m={m} < 2s+3={2 * s + 3}")
     norm = params.norm
-    offs = _neighbor_offsets_cached(norm.kind, norm.dim, s, m)
-    clique = _tau_s_cached(norm.kind, norm.dim, s)
-    return GridModel(
-        s=s,
-        m=m,
-        n=params.n,
-        r=params.r,
-        norm=norm,
-        D=params.n / m**norm.dim,
-        nbhd_size=len(offs) + 1,
-        tau_s=len(clique),
-        clique_offsets=clique,
-    )
+    return _grid_model(norm, s, m, params.n, params.r, _tau_s_cached(norm.kind, norm.dim, s))
 
 
 def tiny_grid(norm: Norm, m: int, s: int, n: float) -> GridModel:
     """Grid for exact-enumeration oracles; bypasses the m >= 2s+3 precondition."""
-    offs = _neighbor_offsets_cached(norm.kind, norm.dim, s, m)
-    cells = np.array(list(itertools.product(range(m), repeat=norm.dim)))
-    clique = _as_offsets(_max_clique(cells, norm, s, m))
-    return GridModel(
-        s=s,
-        m=m,
-        n=n,
-        r=s / m,
-        norm=norm,
-        D=n / m**norm.dim,
-        nbhd_size=len(offs) + 1,
-        tau_s=len(clique),
-        clique_offsets=clique,
-    )
+    clique = _as_offsets(_max_clique(_lattice(0, m, norm.dim), norm, s, m))
+    return _grid_model(norm, s, m, n, s / m, clique)
 
 
 def clique_translate(grid: GridModel, anchor: CellIndex) -> frozenset:
     """The canonical maximal clique set translated to an anchor cell."""
-    m = grid.m
-    return frozenset(
-        tuple((a + o) % m for a, o in zip(anchor, off)) for off in grid.clique_offsets
-    )
+    return frozenset(_index_tuples(_translate(grid, anchor, grid.clique_offsets)[0], grid))
 
 
 def enumerate_max_clique_sets(grid: GridModel, anchor: CellIndex, cap: int = 1000) -> list:
-    """All maximum-cardinality diameter<=s index sets containing `anchor` (up to cap)."""
-    s = grid.s
-    m = grid.m
-    d = grid.norm.dim
-    if m < 2 * s + 3:
-        coords = np.array(list(itertools.product(range(m), repeat=d)))
-        cells = [tuple(row) for row in coords.tolist()]
-        wrap = m
-    else:
-        # the cells of such a set lie within metric s of the anchor, hence
-        # within per-axis offset s + 1
-        coords = np.array(list(itertools.product(range(-(s + 1), s + 2), repeat=d)))
-        cells = [tuple((a + o) % m for a, o in zip(anchor, off)) for off in coords.tolist()]
-        wrap = None
-    order, nbrs = _clique_graph(coords, grid.norm, s, wrap)
-    a = int(np.flatnonzero(order == cells.index(tuple(anchor)))[0])
+    """All maximum-cardinality diameter<=s index sets containing `anchor` (up to cap).
+
+    Their cells lie within metric s of the anchor: on the window of
+    `_cell_range` around it, or anywhere on a grid too small for the window.
+    """
+    coords, wrap = _cell_range(grid.s, grid.m, grid.norm.dim)
+    cells = _translate(grid, anchor if wrap is None else (0,) * grid.norm.dim, coords)[0]
+    order, nbrs = _clique_graph(coords, grid.norm, grid.s, wrap)
+    a = int(np.flatnonzero(cells[order] == np.ravel_multi_index(anchor, grid.shape))[0])
     found = _clique_search(nbrs, [a], nbrs[a], grid.tau_s - 1, cap)
-    return [frozenset(cells[order[v]] for v in clique) for clique in found]
+    index = _index_tuples(cells, grid)
+    return [frozenset(index[order[v]] for v in clique) for clique in found]
 
 
 def set_diameter(members, grid: GridModel) -> int:
-    """Largest pairwise cell metric within `members` (0 for fewer than two cells)."""
-    cells = np.array(list(members), dtype=np.int64).reshape(-1, grid.norm.dim)
-    return int(_pairwise_metric(cells, cells, grid.norm, grid.m).max(initial=0))
+    """Largest pairwise cell metric within `members` (0 for fewer than two
+    cells); exact at any size, in memory linear in the set."""
+    cells = _rows(members, grid)
+    return max((int(b.max()) for b in _metric_blocks(cells, cells, grid.norm, grid.m)), default=0)
 
 
 def is_maximal_clique_set(members, grid: GridModel) -> bool:
-    """Pairwise diameter <= s and no adjacent cell can be added without breaking it."""
-    members = set(map(tuple, members))
-    if set_diameter(members, grid) > grid.s:
+    """Pairwise diameter <= s, and no cell outside the set is within metric s
+    of every member.  Such a cell neighbours each member, so the candidates
+    are the neighbours of any one member."""
+    cells = _rows(members, grid)
+    if set_diameter(cells, grid) > grid.s:
         return False
-    m = grid.m
-    for I in members:
-        for o in neighbor_offsets(grid):
-            J = tuple((c + oc) % m for c, oc in zip(I, o))
-            if J in members:
-                continue
-            if all(cell_metric(J, K, grid) <= grid.s for K in members):
-                return False
-    return True
+    near = _translate(grid, cells[:1], neighbor_offsets(grid))
+    cand = np.setdiff1d(near, np.ravel_multi_index(cells.T, grid.shape))
+    cand = np.stack(np.unravel_index(cand, grid.shape), axis=-1)
+    blocks = _metric_blocks(cand, cells, grid.norm, grid.m)
+    return not any((b.max(axis=1) <= grid.s).any() for b in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -577,21 +584,17 @@ def inscribed_ball_diameter(members, grid: GridModel) -> float:
     """
     m = grid.m
     d = grid.norm.dim
-    cells = np.array(list(members), dtype=np.int64).reshape(-1, d) % m
+    cells = _rows(members, grid)
     if not len(cells):
         raise ValueError("empty index set")
-    steps = np.array(list(itertools.product((-1, 0, 1), repeat=d)))
-    near = (cells[:, None, :] + steps).reshape(-1, d)
     ring = np.setdiff1d(
-        np.ravel_multi_index(near.T, grid.shape, mode="wrap"),
-        np.ravel_multi_index(cells.T, grid.shape),
+        _translate(grid, cells, _lattice(-1, 2, d)), np.ravel_multi_index(cells.T, grid.shape)
     )
     if not len(ring):
         raise ValueError("the member cells cover the torus")
     ring = np.stack(np.unravel_index(ring, grid.shape), axis=-1)
     # candidate centers: _REFINE^d per member cell, in cell units
-    sub = (np.arange(_REFINE) + 0.5) / _REFINE
-    shifts = np.array(list(itertools.product(sub, repeat=d)))
+    shifts = (_lattice(0, _REFINE, d) + 0.5) / _REFINE
     centers = (cells[:, None, :] + shifts).reshape(-1, d)
     # a per-axis gap takes few distinct values: tabulate them, then gather
     cv, ci = np.unique(centers, return_inverse=True)

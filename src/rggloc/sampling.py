@@ -23,6 +23,7 @@ from .grid import (
     CellConfig,
     GridModel,
     _sgraded_edge_counts,
+    _translate,
     sgraded_edge_count,
     unflat_index,
 )
@@ -56,11 +57,10 @@ class TailEstimate:
     n_hits: int = 0  # replicas in the event
 
 
-def _planted_mean(grid: GridModel, t: float, include_slack: bool = True) -> float:
+def _planted_mean(grid: GridModel, t: float) -> float:
     """D' = (sqrt(2 t mu_s) + n^z) / tau_s."""
     scales = derived_scales(grid, delta_tilde=t)
-    slack = scales.n_z if include_slack else 0.0
-    return (math.sqrt(2.0 * t * grid.mu_s) + slack) / grid.tau_s
+    return (math.sqrt(2.0 * t * grid.mu_s) + scales.n_z) / grid.tau_s
 
 
 def _log_ratio_nominal_over_tilted(S, D: float, Dp: float, tau_s: int):
@@ -80,13 +80,12 @@ def planted_cell_sampler(
     t: float,
     seed: int,
     replica: int = 0,
-    include_slack: bool = True,
 ) -> WeightedSample:
     """One tilted draw: means raised to D' on a uniformly translated clique set."""
     if t <= 0:
         raise ValueError("need t > 0")
     D = grid.D
-    Dp = _planted_mean(grid, t, include_slack)
+    Dp = _planted_mean(grid, t)
     g = rng.generator(seed, replica)
     if Dp <= D:
         warnings.warn("tilted mean D' <= D; falling back to the nominal law")
@@ -97,21 +96,13 @@ def planted_cell_sampler(
     f = int(g.integers(grid.num_cells))
     anchor = unflat_index(f, grid.m, grid.norm.dim)
     counts = g.poisson(D, size=grid.num_cells).astype(np.int64)
-    idx = np.sort(_clique_cells(grid, np.array([f]))[0])
+    idx = np.sort(_translate(grid, anchor, grid.clique_offsets)[0])
     counts[idx] = g.poisson(Dp, size=len(idx))
     S = int(counts[idx].sum())
     lw = float(_mixture_log_weight(S, D, Dp, grid.tau_s))
     return WeightedSample(
         CellConfig(counts, grid, seed=seed), lw, replica, "planted", anchor
     )
-
-
-def _clique_cells(grid: GridModel, anchors: np.ndarray) -> np.ndarray:
-    """Flat indices of the canonical clique set translated to each flat anchor,
-    shape (len(anchors), tau_s), in `clique_offsets` order."""
-    a = np.stack(np.unravel_index(anchors, grid.shape), axis=-1)
-    cells = (a[:, None, :] + np.array(grid.clique_offsets)) % grid.m
-    return np.ravel_multi_index(np.moveaxis(cells, -1, 0), grid.shape)
 
 
 def _estimate_from_log_u(logu: np.ndarray, n: int, t: float, threshold: float, method: str) -> TailEstimate:
@@ -152,7 +143,6 @@ def importance_estimate_tail(
     t: float,
     replicas: int,
     seed: int,
-    include_slack: bool = True,
 ) -> TailEstimate:
     """Unbiased estimate of P(|E_s| >= (1+t) mu_s) under the 1/2-1/2 mixture.
 
@@ -166,7 +156,7 @@ def importance_estimate_tail(
         raise ValueError("need at least 100 replicas")
     threshold = (1.0 + t) * grid.mu_s
     D = grid.D
-    Dp = _planted_mean(grid, t, include_slack)
+    Dp = _planted_mean(grid, t)
     if Dp <= D:
         raise ValueError("t too small to tilt: D' <= D")
     tau = grid.tau_s
@@ -177,7 +167,8 @@ def importance_estimate_tail(
         g = rng.generator(seed, c)
         X = g.poisson(D, size=(R, grid.num_cells)).astype(np.int64)
         planted = g.random(R) < 0.5
-        clf = _clique_cells(grid, g.integers(grid.num_cells, size=R))
+        anchors = np.unravel_index(g.integers(grid.num_cells, size=R), grid.shape)
+        clf = _translate(grid, np.stack(anchors, axis=-1), grid.clique_offsets)
         tilted = g.poisson(Dp, size=(R, tau)).astype(np.int64)
         rows = np.arange(R)[:, None]
         X[rows, clf] = np.where(planted[:, None], tilted, X[rows, clf])
@@ -258,8 +249,7 @@ def exact_tail_tiny(grid: GridModel, threshold: float) -> TailEstimate:
 
 
 def planted_continuum_sampler(
-    params: ModelParams, delta: float, seed: int, replica: int = 0,
-    include_slack: bool = True,
+    params: ModelParams, delta: float, seed: int, replica: int = 0
 ) -> PointSet:
     """Nominal PPP superposed with ceil(sqrt(2 delta mu) + n^z) uniform points
     in a fixed ball B of diameter r centered at (1/2, ..., 1/2)."""
@@ -270,8 +260,7 @@ def planted_continuum_sampler(
     base = g.random((base_count, d))
     p_hat = params.p_hat
     z = max(p_hat / 4.0, 3.0 * p_hat / 4.0 - 0.5)
-    slack = params.n**z if include_slack else 0.0
-    k = int(math.ceil(math.sqrt(2.0 * delta * params.mu) + slack))
+    k = int(math.ceil(math.sqrt(2.0 * delta * params.mu) + params.n**z))
     center = np.full(d, 0.5)
     planted = np.empty((k, d))
     filled = 0

@@ -11,6 +11,7 @@ import pytest
 from rggloc import (
     Ball,
     InsufficientMassError,
+    ModelParams,
     Norm,
     build_grid,
     certify_thm1,
@@ -146,6 +147,24 @@ def test_certify_thm2_planted_passes(big_grid, big_scales):
     assert not rep.insufficient_mass
 
 
+@pytest.mark.parametrize("kind,s", [("linf", 20), ("l2", 22)])
+def test_certify_thm2_passes_clique_sets_above_400_cells(kind, s):
+    # tau_s = 441 and 433: the canonical clique set at the planted level, and
+    # nothing else, meets every clause with its true diameter s
+    grid = build_grid(ModelParams(1e6, 0.1, Norm(kind, 2)), s)
+    scales = derived_scales(grid, delta_tilde=1.0)
+    assert grid.tau_s > 400
+    counts = np.zeros(grid.num_cells, dtype=np.int64)
+    level = _planted_level(grid, scales)
+    for I in clique_translate(grid, (grid.m // 2, grid.m - 3)):
+        counts[flat_index(I, grid.m)] = level
+    rep = certify_thm2(CellConfig(counts, grid), grid, scales)
+    assert rep.cardP == grid.tau_s
+    assert rep.diamP == s
+    assert rep.max_ratio_outside == 0.0
+    assert rep.thm2_pass
+
+
 def test_certify_thm2_rejects_split_mass(big_grid, big_scales):
     # two half-level cliques far apart: diameter blows past s
     counts = np.zeros(big_grid.num_cells, dtype=np.int64)
@@ -194,7 +213,7 @@ def _certify_thm2_tuples(cfg, grid, scales, eps_tilde=0.2):
     for I in frakP:
         mask[flat_index(I, grid.m)] = True
     if frakP:
-        diam = set_diameter(frakP, grid) if len(frakP) <= 400 else grid.m
+        diam = set_diameter(frakP, grid)
         dev_in = float(np.abs(cfg.counts[mask] * ratio - 1.0).max())
         dev_out = float(cfg.counts[~mask].max() * ratio) if (~mask).any() else 0.0
         qp = Q_internal(mask, cfg, scales)

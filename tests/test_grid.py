@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,10 +31,12 @@ from rggloc import (
 from rggloc.grid import (
     _interval_dists,
     _metric_from_delta,
+    _neighbor_offsets_cached,
     clique_translate,
     dump_config_csv,
     is_maximal_clique_set,
     load_config_csv,
+    neighbor_offsets,
     set_diameter,
     unflat_index,
 )
@@ -249,13 +252,104 @@ def test_clique_offsets_pinned():
 
 def test_set_diameter_matches_pairwise_loop(l2_grid):
     rng = np.random.default_rng(5)
-    for k in (0, 1, 2, 7, 30):
-        cells = [tuple(int(c) for c in rng.integers(0, l2_grid.m, 2)) for _ in range(k)]
+    cases = [rng.integers(0, l2_grid.m, (k, 2)) for k in (0, 1, 2, 7, 30)]
+    # more than one 256-row block, in a 24 x 24 window across both seams;
+    # rows run outward from its center, so the farthest pairs sit in the last block
+    for k in (300, 600):
+        offs = rng.integers(-12, 12, (k, 2))
+        cases.append(offs[np.argsort((offs**2).sum(axis=1), kind="stable")] % l2_grid.m)
+    for cells in cases:
+        cells = [tuple(int(c) for c in row) for row in cells]
+        uniq = list(dict.fromkeys(cells))  # repeats add no pairs to the loop
         loop = max(
-            (cell_metric(I, J, l2_grid) for i, I in enumerate(cells) for J in cells[:i]),
+            (cell_metric(I, J, l2_grid) for i, I in enumerate(uniq) for J in uniq[:i]),
             default=0,
         )
         assert set_diameter(cells, l2_grid) == loop
+
+
+def test_set_diameter_memory_is_bounded():
+    # all 3000^2 pairs at once would take several hundred MB
+    grid = build_grid(ModelParams(1e4, 0.006, Norm("l2", 2)), 6)
+    assert grid.m == 1000
+    cells = np.random.default_rng(6).integers(0, grid.m, (3000, 2))
+    tracemalloc.start()
+    try:
+        diam = set_diameter(cells, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    rows = (np.abs(cells - c) for c in cells)
+    assert diam == max(int(_metric_from_delta(np.minimum(d, grid.m - d), grid.norm).max()) for d in rows)
+
+
+def _neighbor_offsets_loop(kind, dim, s, m):
+    """Reference: the two-branch itertools enumeration the array path replaced."""
+    norm = Norm(kind, dim)
+    offs = []
+    if m >= 2 * s + 3:
+        for o in itertools.product(range(-(s + 1), s + 2), repeat=dim):
+            if any(o) and int(_metric_from_delta(np.abs(np.array(o)), norm)) <= s:
+                offs.append(o)
+    else:
+        for o in itertools.product(range(m), repeat=dim):
+            delta = np.array([min(c, m - c) for c in o])
+            if any(o) and int(_metric_from_delta(delta, norm)) <= s:
+                offs.append(o)
+    return tuple(offs)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_neighbor_offsets_match_itertools_enumeration(kind):
+    # m below 2s+3 takes the whole wrapped grid, from 2s+3 on the window
+    for dim, svals in ((1, (1, 2, 3, 5, 8)), (2, (1, 2, 3, 5)), (3, (1, 2, 3))):
+        for s in svals:
+            for m in range(3, 4 * s + 2):
+                got = _neighbor_offsets_cached(kind, dim, s, m)
+                assert got == _neighbor_offsets_loop(kind, dim, s, m), (dim, s, m)
+
+
+def _is_maximal_loop(members, grid):
+    """Reference: the per-pair loop over every member's neighbours."""
+    members = set(map(tuple, members))
+    if set_diameter(members, grid) > grid.s:
+        return False
+    m = grid.m
+    for I in members:
+        for o in neighbor_offsets(grid):
+            J = tuple((c + oc) % m for c, oc in zip(I, o))
+            if J not in members and all(cell_metric(J, K, grid) <= grid.s for K in members):
+                return False
+    return True
+
+
+def test_is_maximal_clique_set_matches_pair_loop(l2_grid):
+    cases = [(l2_grid, W) for W in enumerate_max_clique_sets(l2_grid, (5, 5), cap=6)]
+    cases += [(g, W - {min(W)}) for g, W in cases]  # one cell short: never maximal
+    W = clique_translate(l2_grid, (49, 48))
+    cases += [
+        (l2_grid, W),
+        (l2_grid, W | {(20, 20)}),  # diameter > s
+        (l2_grid, {(0, 0), (0, 1), (1, 0), (1, 1)}),
+    ]
+    for norm, m in ((Norm("linf", 2), 6), (Norm("l1", 2), 5), (Norm("l2", 1), 9)):
+        g = tiny_grid(norm, m=m, s=2, n=1.0)
+        W = clique_translate(g, (m - 1,) * norm.dim)
+        cases += [(g, W), (g, W - {min(W)})]
+    verdicts = [is_maximal_clique_set(W, g) for g, W in cases]
+    assert verdicts == [_is_maximal_loop(W, g) for g, W in cases]
+    assert True in verdicts and False in verdicts
+
+
+def test_cell_config_rejects_cells_off_the_grid(l2_grid):
+    counts = np.zeros(l2_grid.num_cells, dtype=np.int64)
+    counts[50] = 7  # cell (1, 0)
+    cfg = CellConfig(counts, l2_grid)
+    assert cfg[(1, 0)] == 7
+    for bad in ((0, 50), (-1, 0)):
+        with pytest.raises(ValueError):
+            cfg[bad]
 
 
 def test_sgraded_edge_count_oracle(l2_grid):
