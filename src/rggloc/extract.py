@@ -229,7 +229,7 @@ def _densest_ball_center(ps: PointSet, params: ModelParams, s: int = 5) -> tuple
     """Candidate ball center: densest clique-window centroid, locally refined."""
     grid = build_grid(params, s)
     cfg = coarsen(ps, grid)
-    acc = _shift_sum(cfg.lattice(), grid.clique_offsets, grid.norm.dim)
+    acc = _shift_sum(cfg.lattice(), grid.clique_offsets)
     anchor = np.array(np.unravel_index(int(np.argmax(acc)), grid.shape))
     centroid = np.mean(np.array(grid.clique_offsets), axis=0)
     base = (anchor + centroid + 0.5) / grid.m % 1.0

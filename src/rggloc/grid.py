@@ -27,6 +27,16 @@ Tomita et al. 2010) proves the maximum, starting from a disc-swept greedy
 clique that stays the witness whenever it is optimal.  The same search, with
 >= in place of >, enumerates the maximum sets through an anchor cell.
 
+Every lattice stencil takes one wrapped-slice path.  `_wrapped_slices` maps
+an offset o (mod m) to the at most 2^d pairs of slices (a, b) for which
+x[..., a] and x[..., b] line up each cell I with I + o on the torus.
+`_shift_sum` gathers each shift through them into one reused buffer, and the
+s-graded edge count contracts each pair with one `np.einsum`:
+|E_s| = sum_I C(X_I, 2) + sum_{o in H} sum_I X_I X_{I+o}, with H one offset
+of each {o, -o} pair of the neighbour offsets, so half the stencil and no
+shifted copy.  On a tiny grid an offset with o = -o mod m (o = 2 at m = 4)
+meets every pair twice and takes weight 1/2; all of it stays exact in int64.
+
 Hulls and inscribed balls compare regions with unions of cells through one
 array helper, the per-axis wrapped (min, max) distance from a point to
 intervals.  `_cell_relation` evaluates every cell of a probe's window at once
@@ -426,9 +436,10 @@ def set_diameter(members, grid: GridModel) -> int:
 def is_maximal_clique_set(members, grid: GridModel) -> bool:
     """Pairwise diameter <= s, and no cell outside the set is within metric s
     of every member.  Such a cell neighbours each member, so the candidates
-    are the neighbours of any one member."""
+    are the neighbours of any one member.  The empty set is not maximal:
+    any one cell can join it."""
     cells = _rows(members, grid)
-    if set_diameter(cells, grid) > grid.s:
+    if len(cells) == 0 or set_diameter(cells, grid) > grid.s:
         return False
     near = _translate(grid, cells[:1], neighbor_offsets(grid))
     cand = np.setdiff1d(near, np.ravel_multi_index(cells.T, grid.shape))
@@ -454,30 +465,65 @@ def coarsen(ps: PointSet, grid: GridModel) -> CellConfig:
 
 def sample_cell_config(grid: GridModel, seed: int, replica: int = 0) -> CellConfig:
     g = rng.generator(seed, replica)
-    counts = g.poisson(grid.D, size=grid.num_cells).astype(np.int64)
+    counts = g.poisson(grid.D, size=grid.num_cells).astype(np.int64, copy=False)
     return CellConfig(counts, grid, seed=seed)
 
 
-def _shift_sum(x: np.ndarray, offsets, d: int) -> np.ndarray:
+def _wrapped_slices(o, m: int) -> list:
+    """The slice pairs (a, b) over the trailing len(o) axes for which x[a] and
+    x[b] line up every cell I with I + o mod m: per axis, a shift k = o_k mod m
+    splits into [0, m-k) -> [k, m) and [m-k, m) -> [0, k), the second empty
+    when k = 0, so at most 2^d pairs."""
+    pairs = [((...,), (...,))]
+    for c in o:
+        k = c % m
+        cuts = [(slice(0, m - k), slice(k, m)), (slice(m - k, m), slice(0, k))][: 1 + (k > 0)]
+        pairs = [(a + (sa,), b + (sb,)) for a, b in pairs for sa, sb in cuts]
+    return pairs
+
+
+def _shift_sum(x: np.ndarray, offsets) -> np.ndarray:
     """out[..., I] = sum over o in `offsets` of x[..., I + o], wrapped mod m on
-    the trailing d axes; leading axes are a batch."""
-    axes = tuple(range(x.ndim - d, x.ndim))
+    the trailing len(o) axes; leading axes are a batch.  Each wrapped shift is
+    gathered into one reused buffer and added whole: at d >= 2 the slices are
+    strided, and a strided add into `out` in place is slower than a strided
+    copy plus a contiguous add (3.5 vs 2.2 ms over the 32 clique offsets at
+    280^2 on a 2-core x86 VM)."""
     out = np.zeros_like(x)
+    shifted = np.empty_like(x)
     for o in offsets:
-        out += np.roll(x, tuple(-c for c in o), axis=axes)
+        for a, b in _wrapped_slices(o, x.shape[-1]):
+            shifted[a] = x[b]
+        out += shifted
     return out
 
 
+def _pair_product(x: np.ndarray, o, m: int) -> np.ndarray:
+    """sum_I x[..., I] * x[..., I + o] over the trailing len(o) axes, wrapped mod m."""
+    ax = "abcdefghij"[: len(o)]
+    spec = f"...{ax},...{ax}->..."
+    return sum(np.einsum(spec, x[a], x[b]) for a, b in _wrapped_slices(o, m))
+
+
 def _sgraded_edge_counts(x: np.ndarray, grid: GridModel) -> np.ndarray:
-    """|E_s| of each lattice in x, shape (..., *grid.shape); exact in int64."""
-    d = grid.norm.dim
+    """|E_s| of each lattice in x, shape (..., *grid.shape); exact in int64.
+
+    Twice the count is sum x^2 - sum x, plus 2 sum_I X_I X_{I+o} for one
+    offset o of each {o, -o} pair of `neighbor_offsets`, plus the product
+    once for an offset with o = -o mod m (tiny grids), which already meets
+    every pair of cells twice."""
+    d, m = grid.norm.dim, grid.m
     axes = tuple(range(x.ndim - d, x.ndim))
-    if (x.sum(axis=axes).astype(float) ** 2 > 2**62).any():
+    total = x.sum(axis=axes)
+    if (total.astype(float) ** 2 > 2**62).any():
         raise OverflowError("edge count would overflow int64")
-    within = (x * (x - 1)).sum(axis=axes) // 2
-    cross2 = (x * _shift_sum(x, neighbor_offsets(grid), d)).sum(axis=axes)
-    assert (cross2 % 2 == 0).all()
-    return within + cross2 // 2
+    twice = _pair_product(x, (0,) * d, m) - total
+    for o in neighbor_offsets(grid):
+        fwd, back = tuple(c % m for c in o), tuple(-c % m for c in o)
+        if fwd <= back:
+            twice += (1 + (fwd < back)) * _pair_product(x, o, m)
+    assert (twice % 2 == 0).all()
+    return twice // 2
 
 
 def sgraded_edge_count(cfg: CellConfig) -> int:

@@ -24,6 +24,7 @@ from .grid import (
     GridModel,
     _sgraded_edge_counts,
     _translate,
+    sample_cell_config,
     sgraded_edge_count,
     unflat_index,
 )
@@ -165,7 +166,7 @@ def importance_estimate_tail(
     for c, lo in enumerate(range(0, replicas, chunk)):
         R = min(chunk, replicas - lo)
         g = rng.generator(seed, c)
-        X = g.poisson(D, size=(R, grid.num_cells)).astype(np.int64)
+        X = g.poisson(D, size=(R, grid.num_cells)).astype(np.int64, copy=False)
         planted = g.random(R) < 0.5
         anchors = np.unravel_index(g.integers(grid.num_cells, size=R), grid.shape)
         clf = _translate(grid, np.stack(anchors, axis=-1), grid.clique_offsets)
@@ -179,19 +180,20 @@ def importance_estimate_tail(
     return _estimate_from_log_u(logu, replicas, t, threshold, "importance")
 
 
+def _nominal_draws(grid: GridModel, budget: int, seed: int):
+    """Replica k's nominal config, from `rng.generator(seed, k)`, with its |E_s|."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    for k in range(budget):
+        cfg = sample_cell_config(grid, seed, k)
+        yield cfg, sgraded_edge_count(cfg)
+
+
 def rejection_conditional(
     grid: GridModel, threshold: float, budget: int, seed: int
 ):
     """Accept nominal draws with |E_s| >= threshold; returns (configs, rate)."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    accepted = []
-    for k in range(budget):
-        g = rng.generator(seed, k)
-        counts = g.poisson(grid.D, size=grid.num_cells).astype(np.int64)
-        cfg = CellConfig(counts, grid, seed=seed)
-        if sgraded_edge_count(cfg) >= threshold:
-            accepted.append(cfg)
+    accepted = [cfg for cfg, edges in _nominal_draws(grid, budget, seed) if edges >= threshold]
     return accepted, len(accepted) / budget
 
 
@@ -200,7 +202,8 @@ def rejection_estimate_tail(
 ) -> TailEstimate:
     """Plain Monte Carlo tail estimate (weight 1); feasible near the bulk only."""
     threshold = (1.0 + t) * grid.mu_s
-    accepted, rate = rejection_conditional(grid, threshold, replicas, seed)
+    hits = sum(edges >= threshold for _, edges in _nominal_draws(grid, replicas, seed))
+    rate = hits / replicas
     if rate == 0.0:
         return TailEstimate(
             t=t, log_prob=-math.inf, std_err=0.0, rel_std_err=math.inf,
@@ -211,7 +214,7 @@ def rejection_estimate_tail(
     return TailEstimate(
         t=t, log_prob=math.log(rate), std_err=se, rel_std_err=se / rate,
         n_replicas=replicas, method="rejection", threshold=threshold,
-        unreliable=replicas * rate < 10, ess=float(len(accepted)), n_hits=len(accepted),
+        unreliable=replicas * rate < 10, ess=float(hits), n_hits=hits,
     )
 
 

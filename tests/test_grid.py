@@ -23,6 +23,7 @@ from rggloc import (
     max_clique_info,
     neighborhood,
     outer_hull,
+    params_for_p_hat,
     sample_cell_config,
     sample_ppp,
     sgraded_edge_count,
@@ -32,6 +33,8 @@ from rggloc.grid import (
     _interval_dists,
     _metric_from_delta,
     _neighbor_offsets_cached,
+    _sgraded_edge_counts,
+    _shift_sum,
     clique_translate,
     dump_config_csv,
     is_maximal_clique_set,
@@ -342,6 +345,14 @@ def test_is_maximal_clique_set_matches_pair_loop(l2_grid):
     assert True in verdicts and False in verdicts
 
 
+def test_empty_set_is_not_maximal(l2_grid, tiny):
+    # any one cell can join the empty set, and any neighbour a lone cell
+    for grid in (l2_grid, tiny):
+        assert not is_maximal_clique_set(set(), grid)
+        assert not is_maximal_clique_set(frozenset(), grid)
+        assert not is_maximal_clique_set({(0,) * grid.norm.dim}, grid)
+
+
 def test_cell_config_rejects_cells_off_the_grid(l2_grid):
     counts = np.zeros(l2_grid.num_cells, dtype=np.int64)
     counts[50] = 7  # cell (1, 0)
@@ -369,6 +380,74 @@ def test_sgraded_edge_count_oracle(l2_grid):
             if cell_metric(idxs[a], idxs[b], l2_grid) <= l2_grid.s:
                 slow += xa * int(lat[nz[b]])
     assert got == slow
+
+
+def _roll_shift_sum(x, offsets, d):
+    """Reference: one wrapped np.roll copy of x per offset."""
+    axes = tuple(range(x.ndim - d, x.ndim))
+    out = np.zeros_like(x)
+    for o in offsets:
+        out += np.roll(x, tuple(-c for c in o), axis=axes)
+    return out
+
+
+def _roll_edge_counts(x, grid):
+    """Reference: sum C(X_I, 2) + 1/2 sum_I X_I (rolled neighbour sum)_I."""
+    d = grid.norm.dim
+    axes = tuple(range(x.ndim - d, x.ndim))
+    within = (x * (x - 1)).sum(axis=axes) // 2
+    cross2 = (x * _roll_shift_sum(x, neighbor_offsets(grid), d)).sum(axis=axes)
+    return within + cross2 // 2
+
+
+def _kernel_grids():
+    grids = [
+        build_grid(params_for_p_hat(1e4, 1.0, Norm("l2", 2)), 5),
+        build_grid(ModelParams(2000.0, 0.3, Norm("l1", 3)), 3),
+    ]
+    for kind in ("l1", "l2", "linf"):
+        # even m: offsets with o = -o mod m, e.g. 2 on the m=4 circle
+        grids += [tiny_grid(Norm(kind, 1), m=4, s=3, n=4.0), tiny_grid(Norm(kind, 2), m=4, s=2, n=32.0)]
+    return grids
+
+
+def test_sgraded_edge_counts_match_rolled_stencil():
+    linf = build_grid(params_for_p_hat(1e3, 1.0, Norm("linf", 1)), 5)
+    assert linf.m == 5000
+    for seed in range(5):
+        x = sample_cell_config(linf, seed=seed).lattice()
+        assert _sgraded_edge_counts(x, linf) == _roll_edge_counts(x, linf)
+    grids = _kernel_grids()
+    assert grids[0].m == 626 and grids[1].m == 10 and grids[1].s == 3
+    for grid in grids[2:]:
+        m = grid.m
+        assert any(tuple(c % m for c in o) == tuple(-c % m for c in o) for o in neighbor_offsets(grid))
+    for k, grid in enumerate(grids):
+        for R in (1, 3) if grid.num_cells > 16 else (1, 500):
+            x = np.random.default_rng(k).poisson(max(grid.D, 1.0), size=(R, *grid.shape))
+            want = _roll_edge_counts(x, grid)
+            assert np.array_equal(_sgraded_edge_counts(x, grid), want)
+            assert [sgraded_edge_count(CellConfig(c.ravel(), grid)) for c in x] == want.tolist()
+
+
+def test_shift_sum_matches_rolled_stencil():
+    grids = _kernel_grids() + [build_grid(params_for_p_hat(1e3, 1.0, Norm("linf", 1)), 5)]
+    for k, grid in enumerate(grids):
+        d = grid.norm.dim
+        x = np.random.default_rng(k).poisson(2.0, size=(2, *grid.shape))
+        for offsets in (grid.clique_offsets, neighbor_offsets(grid)):
+            assert np.array_equal(_shift_sum(x, offsets), _roll_shift_sum(x, offsets, d))
+            assert np.array_equal(_shift_sum(x[0], offsets), _roll_shift_sum(x[0], offsets, d))
+
+
+def test_sgraded_edge_counts_refuse_int64_overflow(tiny, l2_grid):
+    for grid in (tiny, l2_grid):
+        x = np.zeros((2, *grid.shape), dtype=np.int64)
+        x[1].flat[0] = 3 * 10**9  # (sum x)^2 > 2^62
+        with pytest.raises(OverflowError):
+            _sgraded_edge_counts(x, grid)
+        x[1].flat[0] = 2 * 10**9
+        assert _sgraded_edge_counts(x, grid).tolist() == [0, 2 * 10**9 * (2 * 10**9 - 1) // 2]
 
 
 def test_tiny_grid_complete_graph(tiny):

@@ -7,6 +7,7 @@ from scipy import stats as sps
 from rggloc import (
     CellConfig,
     Norm,
+    TailEstimate,
     build_grid,
     exact_tail_tiny,
     importance_estimate_tail,
@@ -209,6 +210,25 @@ def test_rejection_conditional_accepts_only_above_threshold(tiny):
     assert 0.0 < rate < 1.0
     for cfg in accepted:
         assert sgraded_edge_count(cfg) >= threshold
+
+
+def test_rejection_estimate_counts_the_conditional_acceptances(tiny):
+    # the estimate is the accepted list's size over the budget, built as the
+    # estimator did when it kept the accepted configs
+    for t, replicas, seed in ((1.0, 2000, 45), (0.5, 2000, 47), (1.0, 500, 48), (30.0, 500, 48)):
+        threshold = (1.0 + t) * tiny.mu_s
+        accepted, rate = rejection_conditional(tiny, threshold, budget=replicas, seed=seed)
+        est = rejection_estimate_tail(tiny, t=t, replicas=replicas, seed=seed)
+        assert est.n_hits == len(accepted) == round(rate * replicas)
+        if rate == 0.0:
+            assert est.log_prob == -math.inf and est.unreliable
+            continue
+        se = math.sqrt(rate * (1.0 - rate) / replicas)
+        assert est == TailEstimate(
+            t=t, log_prob=math.log(rate), std_err=se, rel_std_err=se / rate,
+            n_replicas=replicas, method="rejection", threshold=threshold,
+            unreliable=replicas * rate < 10, ess=float(len(accepted)), n_hits=len(accepted),
+        )
 
 
 def test_unreliable_flag_on_hopeless_tail(tiny):
