@@ -41,11 +41,7 @@ from .grid import (
 )
 from .ldp import normalized_log_tail, rate_function, sandwich_bounds
 from .points import ModelParams, edge_count, edge_count_bruteforce, params_for_p_hat, sample_ppp
-from .sampling import (
-    importance_estimate_tail,
-    planted_cell_sampler,
-    rejection_conditional,
-)
+from .sampling import _nominal_draws, importance_estimate_tail, planted_cell_sampler
 from .stats import _mask, derived_scales, exact_poisson_tail, poisson_tail_bound
 
 
@@ -337,13 +333,18 @@ def cmd_condition(cfg: RunConfig) -> int:
     profiles = []
     if cfg.method == "rejection":
         threshold = (1.0 + cfg.delta_tilde) * grid.mu_s
-        accepted, rate = rejection_conditional(grid, threshold, cfg.budget, cfg.seed)
-        for i, c in enumerate(accepted[:50]):
-            f = cfg.output_dir / f"accepted_{i:04d}.csv"
-            f.write_text(dump_config_csv(c))
-            files.append(f)
-            profiles.append(localization_profile(c, grid, scales))
-        summary = {"method": "rejection", "acceptance_rate": rate, "accepted": len(accepted)}
+        accepted = 0
+        for c, edges in _nominal_draws(grid, cfg.budget, cfg.seed):
+            if edges < threshold:
+                continue
+            if accepted < 50:
+                f = cfg.output_dir / f"accepted_{accepted:04d}.csv"
+                f.write_text(dump_config_csv(c))
+                files.append(f)
+                profiles.append(localization_profile(c, grid, scales))
+            accepted += 1
+        rate = accepted / cfg.budget
+        summary = {"method": "rejection", "acceptance_rate": rate, "accepted": accepted}
         if not accepted:
             summary["status"] = "no acceptances within budget"
     elif cfg.method == "planted":
@@ -376,8 +377,9 @@ def cmd_condition(cfg: RunConfig) -> int:
 
 
 def cmd_extract(cfg: RunConfig, input_dir: str | None = None) -> int:
-    """Certify stored or freshly sampled configs one at a time: each config is
-    dropped once its report is kept, and the heatmap shows the first one."""
+    """Certify stored or freshly sampled configs one at a time: each config and
+    its report are dropped once the report is written to `thm2_reports.json`,
+    and only the first config is kept, for the heatmap."""
     p = cfg.params
     grid = build_grid(p, cfg.s)
     scales = derived_scales(grid, cfg.delta_tilde, p.delta_star, cfg.eps_tilde)
@@ -398,20 +400,22 @@ def cmd_extract(cfg: RunConfig, input_dir: str | None = None) -> int:
             (f"planted_{k:04d}", planted_cell_sampler(grid, cfg.t, cfg.seed, replica=k).config)
             for k in range(cfg.replicas)
         )
-    reports = []
-    npass = 0
-    for name, c in configs:
-        rep = certify_thm2(c, grid, scales, cfg.eps_tilde)
-        if not reports:
-            name0, counts0, frakP0 = name, c.counts, rep.frakP
-        reports.append(rep.to_json())
-        npass += rep.thm2_pass
     rep_file = cfg.output_dir / "thm2_reports.json"
-    rep_file.write_text("[\n" + ",\n".join(reports) + "\n]\n")
+    nrep = npass = 0
+    with rep_file.open("w") as out:
+        out.write("[\n")
+        for name, c in configs:
+            rep = certify_thm2(c, grid, scales, cfg.eps_tilde)
+            if not nrep:
+                name0, counts0, frakP0 = name, c.counts, rep.frakP
+            out.write((",\n" if nrep else "") + rep.to_json())
+            nrep += 1
+            npass += rep.thm2_pass
+        out.write("\n]\n")
     svg = cfg.output_dir / "localization_heatmap.svg"
     _svg_heatmap(counts0, grid, frakP0, f"cell counts with extracted set ({name0})", svg)
     _write_manifest(cfg, _derived_quantities(cfg), [rep_file, svg])
-    print(f"extract: {npass}/{len(reports)} pass localization at eps_tilde={cfg.eps_tilde}")
+    print(f"extract: {npass}/{nrep} pass localization at eps_tilde={cfg.eps_tilde}")
     return 0
 
 

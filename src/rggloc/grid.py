@@ -2,7 +2,12 @@
 maximal clique sets, s-graded edge counts, hulls, and inscribed balls.
 
 The torus is cut into m^d cells of side 1/m with m = floor(s/r); cell
-occupancies are independent Poisson(D) with D = n/m^d.  The integer cell
+occupancies are independent Poisson(D) with D = n/m^d.  Every lattice
+sampler takes them from one draw, `_draw_cells`, which samples the Poisson
+process as points: N ~ Pois(R m^d D) uniform flat indices over a batch of R
+replicas, counted by one `np.bincount`, plus, on each planted replica,
+Pois(tau_s (D' - D)) points uniform over its translated clique set, which
+raise those cells to Poisson(D') by superposition.  The integer cell
 metric d(I,J) is the smallest integer z such that interior points of the two
 cells can be closer than z cell widths; for monotone norms this has the
 closed form floor(||max(delta-1, 0)||) + 1 with delta the wrapped per-axis
@@ -463,9 +468,42 @@ def coarsen(ps: PointSet, grid: GridModel) -> CellConfig:
     return CellConfig(counts, grid, seed=ps.seed)
 
 
+def _draw_cells(g: np.random.Generator, grid: GridModel, R: int = 1, Dp: float | None = None,
+                plant_all: bool = False):
+    """R independent cell configurations from g, as (R, m^d) int64 counts,
+    drawn as points and counted per cell.
+
+    Without Dp, the draw is N ~ Pois(R m^d D) uniform flat indices
+    replica * m^d + cell in [0, R m^d), counted by one `np.bincount`: every
+    cell of every replica is an independent Poisson(D).  With Dp > D it
+    draws, in order, R coins (a replica is planted when its coin is < 1/2,
+    or always with `plant_all`), R uniform anchor cells, the same base
+    points, and K ~ Pois(P tau_s (Dp - D)) extra points, uniform over the
+    tau_s translated clique-set cells of the P planted replicas.  By
+    superposition those cells are then Poisson(Dp), independently.
+
+    Returns (counts, anchors, clique): the anchors as (R, d) index rows and
+    each replica's clique-set cells as (R, tau_s) flat indices in
+    `clique_offsets` order, both None without Dp."""
+    M = grid.num_cells
+    anchors = clique = None
+    if Dp is not None:
+        planted = (g.random(R) < 0.5) | plant_all
+        anchors = np.stack(np.unravel_index(g.integers(M, size=R), grid.shape), axis=-1)
+        clique = _translate(grid, anchors, grid.clique_offsets)
+    points = g.integers(R * M, size=g.poisson(R * M * grid.D))
+    if Dp is not None:
+        cells = (clique + M * np.arange(R)[:, None])[planted].ravel()
+        extra = cells[g.integers(cells.size, size=g.poisson(cells.size * (Dp - grid.D)))]
+        points = np.concatenate([points, extra])
+    counts = np.bincount(points, minlength=R * M).reshape(R, M)
+    return counts, anchors, clique
+
+
 def sample_cell_config(grid: GridModel, seed: int, replica: int = 0) -> CellConfig:
-    g = rng.generator(seed, replica)
-    counts = g.poisson(grid.D, size=grid.num_cells).astype(np.int64, copy=False)
+    """Replica's nominal configuration: the base points of `_draw_cells` from
+    `rng.generator(seed, replica)`."""
+    counts = _draw_cells(rng.generator(seed, replica), grid)[0][0]
     return CellConfig(counts, grid, seed=seed)
 
 

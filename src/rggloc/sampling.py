@@ -7,6 +7,13 @@ Three routes to the upper tail:
     to D'), with exact likelihood ratios and a half/half mixture proposal so
     weights stay bounded by 2,
   * exact enumeration on tiny grids as an unbiasedness oracle.
+
+Every lattice draw here is one call of `grid._draw_cells` on one stream:
+the mixture coins, the anchors, the base points, then the planted replicas'
+extra points.  The estimator's chunks, `planted_cell_sampler` (a chunk of
+one, planted whatever its coin) and the nominal draws behind rejection
+sampling (`sample_cell_config`, base points only) differ only in how many
+replicas a stream holds and which of them are planted.
 """
 
 from __future__ import annotations
@@ -22,11 +29,10 @@ from .geometry import torus_distance
 from .grid import (
     CellConfig,
     GridModel,
+    _draw_cells,
     _sgraded_edge_counts,
-    _translate,
     sample_cell_config,
     sgraded_edge_count,
-    unflat_index,
 )
 from .points import ModelParams, PointSet
 from .stats import derived_scales, exact_poisson_tail
@@ -82,27 +88,26 @@ def planted_cell_sampler(
     seed: int,
     replica: int = 0,
 ) -> WeightedSample:
-    """One tilted draw: means raised to D' on a uniformly translated clique set."""
+    """One tilted draw: means raised to D' on a uniformly translated clique set.
+
+    It is the draw `importance_estimate_tail` makes for this replica on a grid
+    of more than 512 cells, planted whatever its coin says: from
+    `rng.generator(seed, replica)`, the coin, the anchor, the base points and
+    the clique set's extra points (`grid._draw_cells`).  If D' <= D it warns
+    and returns `sample_cell_config(grid, seed, replica)` with weight 1."""
     if t <= 0:
         raise ValueError("need t > 0")
     D = grid.D
     Dp = _planted_mean(grid, t)
-    g = rng.generator(seed, replica)
     if Dp <= D:
         warnings.warn("tilted mean D' <= D; falling back to the nominal law")
-        counts = g.poisson(D, size=grid.num_cells).astype(np.int64)
-        return WeightedSample(
-            CellConfig(counts, grid, seed=seed), 0.0, replica, "nominal", ()
-        )
-    f = int(g.integers(grid.num_cells))
-    anchor = unflat_index(f, grid.m, grid.norm.dim)
-    counts = g.poisson(D, size=grid.num_cells).astype(np.int64)
-    idx = np.sort(_translate(grid, anchor, grid.clique_offsets)[0])
-    counts[idx] = g.poisson(Dp, size=len(idx))
-    S = int(counts[idx].sum())
+        return WeightedSample(sample_cell_config(grid, seed, replica), 0.0, replica, "nominal", ())
+    counts, anchors, clique = _draw_cells(rng.generator(seed, replica), grid, 1, Dp, plant_all=True)
+    S = int(counts[0, clique[0]].sum())
     lw = float(_mixture_log_weight(S, D, Dp, grid.tau_s))
+    anchor = tuple(anchors[0].tolist())
     return WeightedSample(
-        CellConfig(counts, grid, seed=seed), lw, replica, "planted", anchor
+        CellConfig(counts[0], grid, seed=seed), lw, replica, "planted", anchor
     )
 
 
@@ -148,10 +153,11 @@ def importance_estimate_tail(
     """Unbiased estimate of P(|E_s| >= (1+t) mu_s) under the 1/2-1/2 mixture.
 
     Replicas run in chunks of R (65536 on grids of at most 512 cells, else 1);
-    chunk c draws from `rng.generator(seed, c)`, in order: the nominal counts
-    (R x cells), the component coins, the anchors and the tilted clique counts
-    (R x tau_s).  So on large grids each replica has its own stream, and the
-    estimate is deterministic given (seed, replicas).
+    chunk c makes one `grid._draw_cells` from `rng.generator(seed, c)`, in
+    order: the R component coins, the R anchors, the base points of all R
+    replicas and the extra points of the planted ones.  So on large grids each
+    replica has its own stream, the one `planted_cell_sampler` draws from, and
+    the estimate is deterministic given (seed, replicas).
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas")
@@ -160,21 +166,13 @@ def importance_estimate_tail(
     Dp = _planted_mean(grid, t)
     if Dp <= D:
         raise ValueError("t too small to tilt: D' <= D")
-    tau = grid.tau_s
     chunk = 65536 if grid.num_cells <= 512 else 1
     logu = np.empty(replicas)
     for c, lo in enumerate(range(0, replicas, chunk)):
         R = min(chunk, replicas - lo)
-        g = rng.generator(seed, c)
-        X = g.poisson(D, size=(R, grid.num_cells)).astype(np.int64, copy=False)
-        planted = g.random(R) < 0.5
-        anchors = np.unravel_index(g.integers(grid.num_cells, size=R), grid.shape)
-        clf = _translate(grid, np.stack(anchors, axis=-1), grid.clique_offsets)
-        tilted = g.poisson(Dp, size=(R, tau)).astype(np.int64)
-        rows = np.arange(R)[:, None]
-        X[rows, clf] = np.where(planted[:, None], tilted, X[rows, clf])
-        S = X[rows, clf].sum(axis=1)
-        lw = _mixture_log_weight(S, D, Dp, tau)
+        X, _, clique = _draw_cells(rng.generator(seed, c), grid, R, Dp)
+        S = X[np.arange(R)[:, None], clique].sum(axis=1)
+        lw = _mixture_log_weight(S, D, Dp, grid.tau_s)
         edges = _sgraded_edge_counts(X.reshape(R, *grid.shape), grid)
         logu[lo : lo + R] = np.where(edges >= threshold, lw, -np.inf)
     return _estimate_from_log_u(logu, replicas, t, threshold, "importance")

@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 import rggloc
-from rggloc.cli import main
+from rggloc import build_grid, certify_thm2, derived_scales, localization_profile, rejection_conditional
+from rggloc.cli import load_config, main
+from rggloc.grid import dump_config_csv, load_config_csv
+
+
+def _grid_and_scales(run):
+    grid = build_grid(run.params, run.s)
+    return grid, derived_scales(grid, run.delta_tilde, run.params.delta_star, run.eps_tilde)
 
 
 def _write_config(tmp_path, **overrides):
@@ -95,6 +102,34 @@ def test_extract_from_stored_samples(tmp_path):
     assert len(reports) == 3
     assert all(r["schema"] == "thm2_report.v1" for r in reports)
     assert (out2 / "localization_heatmap.svg").exists()
+    # written report by report, the file is the joined list it always was
+    run = load_config(str(cfg))
+    grid, scales = _grid_and_scales(run)
+    joined = ",\n".join(
+        certify_thm2(load_config_csv(f.read_text(), grid), grid, scales, run.eps_tilde).to_json()
+        for f in sorted((tmp_path / "out").glob("planted_*.csv"))
+    )
+    assert (out2 / "thm2_reports.json").read_text() == "[\n" + joined + "\n]\n"
+
+
+def test_condition_rejection_writes_the_first_50_of_all_acceptances(tmp_path):
+    cfg = _write_config(tmp_path, sampler={"method": "rejection", "budget": 200},
+                        conditioning={"delta_tilde": 0.01})
+    assert main(["condition", "--config", str(cfg)]) == 0
+    run = load_config(str(cfg))
+    grid, scales = _grid_and_scales(run)
+    threshold = (1.0 + run.delta_tilde) * grid.mu_s
+    accepted, rate = rejection_conditional(grid, threshold, run.budget, run.seed)
+    assert len(accepted) > 50
+    out = tmp_path / "out"
+    assert sorted(f.name for f in out.glob("accepted_*.csv")) == [f"accepted_{i:04d}.csv" for i in range(50)]
+    for i, c in enumerate(accepted[:50]):
+        assert (out / f"accepted_{i:04d}.csv").read_text() == dump_config_csv(c)
+    summary = {"method": "rejection", "acceptance_rate": rate, "accepted": len(accepted)}
+    profiles = [localization_profile(c, grid, scales) for c in accepted[:50]]
+    assert (out / "profiles.json").read_text() == json.dumps(
+        {"summary": summary, "profiles": profiles}, sort_keys=True
+    )
 
 
 def test_extract_with_nothing_to_certify_is_a_config_error(tmp_path):

@@ -16,12 +16,13 @@ from rggloc import (
     planted_continuum_sampler,
     rejection_conditional,
     rejection_estimate_tail,
+    sample_cell_config,
     sgraded_edge_count,
 )
 from rggloc import rng
 from rggloc.grid import (
+    _draw_cells,
     _sgraded_edge_counts,
-    clique_translate,
     flat_index,
     neighbor_offsets,
     tiny_grid,
@@ -56,45 +57,46 @@ def _clique_flat(grid, anchor):
     return np.array([flat_index(J, m) for J in cells])
 
 
+def _reference_draw(grid, Dp, g, R, plant_all=False):
+    """R replicas rebuilt from the raw generator in the draw order: R coins, R
+    anchors, N ~ Pois(R m^d D) flat indices replica * m^d + cell, then
+    K ~ Pois(P tau_s (D' - D)) indices uniform over the P planted replicas'
+    clique cells, each point added to its cell one at a time."""
+    M, D = grid.num_cells, grid.D
+    planted = (g.random(R) < 0.5) | plant_all
+    anchors = [unflat_index(int(a), grid.m, grid.norm.dim) for a in g.integers(M, size=R)]
+    clf = np.array([_clique_flat(grid, a) for a in anchors]).reshape(R, grid.tau_s)
+    X = np.zeros(R * M, dtype=np.int64)
+    np.add.at(X, g.integers(R * M, size=g.poisson(R * M * D)), 1)
+    cells = np.array([r * M + f for r in range(R) if planted[r] for f in clf[r]], dtype=np.int64)
+    np.add.at(X, cells[g.integers(len(cells), size=g.poisson(len(cells) * (Dp - D)))], 1)
+    return X.reshape(R, M), planted, anchors, clf
+
+
 def _per_replica_reference(grid, t, replicas, seed):
-    """One derived stream per replica, scalar draws, tilted counts only when planted."""
+    """One derived stream per replica, each drawn as a batch of one."""
     D, Dp, tau = grid.D, _planted_mean(grid, t), grid.tau_s
     threshold = (1.0 + t) * grid.mu_s
     pairs = _edge_pairs(grid)
     logu = np.full(replicas, -np.inf)
     for k in range(replicas):
-        g = rng.generator(seed, k)
-        counts = g.poisson(D, size=grid.num_cells).astype(np.int64)
-        planted = bool(g.random() < 0.5)
-        anchor = unflat_index(int(g.integers(grid.num_cells)), grid.m, grid.norm.dim)
-        clf = _clique_flat(grid, anchor)
-        if planted:
-            counts[clf] = g.poisson(Dp, size=len(clf))
-        lw = float(_mixture_log_weight(int(counts[clf].sum()), D, Dp, tau))
-        if _pair_edge_counts(counts[None, :], pairs)[0] >= threshold:
+        X, _, _, clf = _reference_draw(grid, Dp, rng.generator(seed, k), 1)
+        lw = float(_mixture_log_weight(int(X[0, clf[0]].sum()), D, Dp, tau))
+        if _pair_edge_counts(X, pairs)[0] >= threshold:
             logu[k] = lw
     return _estimate_from_log_u(logu, replicas, t, threshold, "importance")
 
 
 def _batched_reference(grid, t, replicas, seed):
-    """One stream for all replicas, drawn in blocks of 65536."""
+    """Blocks of 65536 replicas, block c drawn from stream (seed, c)."""
     D, Dp, tau = grid.D, _planted_mean(grid, t), grid.tau_s
     threshold = (1.0 + t) * grid.mu_s
     pairs = _edge_pairs(grid)
-    g = rng.generator(seed)
     logu = np.full(replicas, -np.inf)
-    for lo in range(0, replicas, 65536):
+    for c, lo in enumerate(range(0, replicas, 65536)):
         R = min(65536, replicas - lo)
-        X = g.poisson(D, size=(R, grid.num_cells)).astype(np.int64)
-        planted = g.random(R) < 0.5
-        anchors = g.integers(grid.num_cells, size=R)
-        clf = np.array(
-            [_clique_flat(grid, unflat_index(int(a), grid.m, grid.norm.dim)) for a in anchors]
-        )
-        tilted = g.poisson(Dp, size=(R, tau)).astype(np.int64)
-        rows = np.arange(R)[:, None]
-        X[rows, clf] = np.where(planted[:, None], tilted, X[rows, clf])
-        lw = _mixture_log_weight(X[rows, clf].sum(axis=1), D, Dp, tau)
+        X, _, _, clf = _reference_draw(grid, Dp, rng.generator(seed, c), R)
+        lw = _mixture_log_weight(X[np.arange(R)[:, None], clf].sum(axis=1), D, Dp, tau)
         logu[lo : lo + R] = np.where(_pair_edge_counts(X, pairs) >= threshold, lw, -np.inf)
     return _estimate_from_log_u(logu, replicas, t, threshold, "importance")
 
@@ -130,22 +132,94 @@ def test_planted_sampler_determinism(tiny):
     assert a.anchor == b.anchor
 
 
-def test_planted_sampler_draws_tilted_counts_in_sorted_cell_order(tiny, l2_grid):
-    # reference: the anchor, the nominal counts, then Poisson(D') over the
-    # translated clique set in sorted index order, all from one replica stream
-    for grid in (tiny, l2_grid):
+def test_planted_sampler_draws_the_per_replica_planted_stream(tiny, l2_grid):
+    # the sampler is replica k of the per-replica estimator path with its coin
+    # drawn and then ignored: coin, anchor, base points, clique-set points
+    readme = build_grid(params_for_p_hat(1e3, 1.0, Norm("linf", 1)), 5)
+    coins = []
+    for grid in (tiny, l2_grid, readme):
         Dp = _planted_mean(grid, 1.0)
-        for k in range(5):
-            g = rng.generator(42, k)
-            anchor = unflat_index(int(g.integers(grid.num_cells)), grid.m, grid.norm.dim)
-            counts = g.poisson(grid.D, size=grid.num_cells).astype(np.int64)
-            idx = [flat_index(I, grid.m) for I in sorted(clique_translate(grid, anchor))]
-            counts[idx] = g.poisson(Dp, size=len(idx))
+        for k in range(8):
+            X, _, anchors, clf = _reference_draw(grid, Dp, rng.generator(42, k), 1, plant_all=True)
             ws = planted_cell_sampler(grid, t=1.0, seed=42, replica=k)
-            assert ws.anchor == anchor
-            assert np.array_equal(ws.config.counts, counts)
-            lw = _mixture_log_weight(int(counts[idx].sum()), grid.D, Dp, grid.tau_s)
+            assert ws.anchor == anchors[0] and ws.component == "planted"
+            assert np.array_equal(ws.config.counts, X[0])
+            lw = _mixture_log_weight(int(X[0, clf[0]].sum()), grid.D, Dp, grid.tau_s)
             assert ws.log_weight == float(lw)
+            Y, planted, _, _ = _reference_draw(grid, Dp, rng.generator(42, k), 1)
+            coins.append(bool(planted[0]))
+            if planted[0]:
+                assert np.array_equal(Y, X)
+    assert 0 < sum(coins) < len(coins)
+
+
+def test_planted_sampler_falls_back_to_the_nominal_draw(tiny):
+    # a tilt too small to raise D' above D gives sample_cell_config's counts
+    assert _planted_mean(tiny, 1e-6) <= tiny.D
+    with pytest.warns(UserWarning):
+        ws = planted_cell_sampler(tiny, t=1e-6, seed=42, replica=3)
+    assert (ws.component, ws.log_weight, ws.anchor) == ("nominal", 0.0, ())
+    assert np.array_equal(ws.config.counts, sample_cell_config(tiny, 42, 3).counts)
+
+
+def _assert_poisson(x, lam):
+    """At least 10^6 counts whose mean and variance lie within 5 standard
+    errors of lam and whose histogram passes a chi-square fit (p > 1e-3),
+    with the counts above the (1 - 50/n) quantile merged into one bin."""
+    x = np.asarray(x).ravel()
+    n = x.size
+    assert n >= 10**6
+    assert abs(x.mean() - lam) < 5.0 * math.sqrt(lam / n)
+    assert abs(x.var() - lam) < 5.0 * math.sqrt((lam + 2.0 * lam**2) / n)
+    K = int(sps.poisson.ppf(1.0 - 50.0 / n, lam))
+    observed = np.bincount(np.minimum(x, K), minlength=K + 1)
+    expected = n * np.append(sps.poisson.pmf(np.arange(K), lam), sps.poisson.sf(K - 1, lam))
+    assert sps.chisquare(observed, expected).pvalue > 1e-3
+
+
+def _tiny_batches(tiny, seed, chunks=10):
+    """The estimator's draws on the tiny grid, 65536 replicas a stream, split
+    by the coin each replica drew first: (nominal rows, planted rows)."""
+    Dp = _planted_mean(tiny, 1.0)
+    out = [], []
+    for c in range(chunks):
+        X = _draw_cells(rng.generator(seed, c), tiny, 65536, Dp)[0]
+        coins = rng.generator(seed, c).random(65536) < 0.5
+        out[0].append(X[~coins])
+        out[1].append(X[coins])
+    return np.concatenate(out[0]), np.concatenate(out[1])
+
+
+def test_batched_cells_are_poisson_d_and_planted_cells_poisson_dprime(tiny):
+    # on the tiny grid the clique set is every cell, so a planted replica is
+    # Poisson(D') throughout and a nominal one Poisson(D)
+    assert tiny.tau_s == tiny.num_cells
+    nominal, planted = _tiny_batches(tiny, seed=61)
+    _assert_poisson(nominal, tiny.D)
+    _assert_poisson(planted, _planted_mean(tiny, 1.0))
+
+
+def test_per_replica_cells_are_poisson_d_off_the_planted_set():
+    big = build_grid(params_for_p_hat(1e5, 1.0, Norm("linf", 1)), 5)
+    assert big.num_cells == 499_999
+    _assert_poisson([sample_cell_config(big, 62, k).counts for k in range(3)], big.D)
+    off = []
+    for k in range(3):
+        ws = planted_cell_sampler(big, t=1.0, seed=63, replica=k)
+        mask = np.ones(big.num_cells, dtype=bool)
+        mask[_clique_flat(big, ws.anchor)] = False
+        off.append(ws.config.counts[mask])
+    _assert_poisson(np.concatenate(off), big.D)
+
+
+def test_batched_replicas_are_uncorrelated(tiny):
+    # rows of one (R, m^d) batch share a single Poisson total and bincount;
+    # cell counts of replicas r and r + lag are still uncorrelated
+    X = _draw_cells(rng.generator(64, 0), tiny, 65536, _planted_mean(tiny, 1.0))[0]
+    for lag in (1, 2, 4096, 32768):
+        a, b = X[:-lag].ravel(), X[lag:].ravel()
+        assert abs(np.corrcoef(a, b)[0, 1]) < 5.0 / math.sqrt(a.size)
+        assert abs(np.corrcoef(X[:-lag].sum(axis=1), X[lag:].sum(axis=1))[0, 1]) < 5.0 / math.sqrt(len(X) - lag)
 
 
 def test_planted_sampler_rejects_bad_t(tiny):
