@@ -32,6 +32,7 @@ from . import __version__
 from .extract import certify_thm2, localization_profile
 from .geometry import Norm
 from .grid import (
+    CellConfig,
     build_grid,
     coarsen,
     dump_config_csv,
@@ -41,7 +42,7 @@ from .grid import (
 )
 from .ldp import normalized_log_tail, rate_function, sandwich_bounds
 from .points import ModelParams, edge_count, edge_count_bruteforce, params_for_p_hat, sample_ppp
-from .sampling import _nominal_draws, importance_estimate_tail, planted_cell_sampler
+from .sampling import _replicas, importance_estimate_tail, planted_cell_sampler
 from .stats import _mask, derived_scales, exact_poisson_tail, poisson_tail_bound
 
 
@@ -53,7 +54,6 @@ class ConfigError(ValueError):
 class RunConfig:
     params: ModelParams
     s: int
-    delta: float
     delta_tilde: float
     eps: float
     eps_tilde: float
@@ -102,7 +102,6 @@ def load_config(path: str, seed=None, out=None) -> RunConfig:
     return RunConfig(
         params=params,
         s=int(raw.get("grid", {}).get("s", 5)),
-        delta=float(cond.get("delta", 1.0)),
         delta_tilde=float(cond.get("delta_tilde", 1.0)),
         eps=float(cond.get("eps", 0.25)),
         eps_tilde=float(cond.get("eps_tilde", 0.2)),
@@ -334,15 +333,15 @@ def cmd_condition(cfg: RunConfig) -> int:
     if cfg.method == "rejection":
         threshold = (1.0 + cfg.delta_tilde) * grid.mu_s
         accepted = 0
-        for c, edges in _nominal_draws(grid, cfg.budget, cfg.seed):
-            if edges < threshold:
-                continue
-            if accepted < 50:
-                f = cfg.output_dir / f"accepted_{accepted:04d}.csv"
-                f.write_text(dump_config_csv(c))
-                files.append(f)
-                profiles.append(localization_profile(c, grid, scales))
-            accepted += 1
+        for X, _, edges in _replicas(grid, cfg.seed, cfg.budget):
+            for x in X[edges >= threshold]:
+                if accepted < 50:
+                    c = CellConfig(x, grid)
+                    f = cfg.output_dir / f"accepted_{accepted:04d}.csv"
+                    f.write_text(dump_config_csv(c))
+                    files.append(f)
+                    profiles.append(localization_profile(c, grid, scales))
+                accepted += 1
         rate = accepted / cfg.budget
         summary = {"method": "rejection", "acceptance_rate": rate, "accepted": accepted}
         if not accepted:
@@ -537,9 +536,6 @@ def main(argv=None) -> int:
         if args.command == "tail":
             return cmd_tail(cfg)
         return cmd_verify(cfg)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

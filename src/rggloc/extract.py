@@ -170,7 +170,7 @@ def localization_profile(cfg: CellConfig, grid: GridModel, scales: DerivedScales
         "cardP": report.cardP,
         "diamP": report.diamP,
     }
-    if report.cardP and grid.num_cells <= 100_000:
+    if grid.num_cells <= 100_000:
         within, cross2 = _pair_sums(cfg, in_mask, in_mask)
         cross = _pair_sums(cfg, in_mask, ~in_mask)[1]
         comp = sgraded_edge_count(cfg) - (within + cross2 // 2) - cross

@@ -109,7 +109,6 @@ class CellConfig:
 
     counts: np.ndarray  # int64, shape (m^d,)
     grid: GridModel
-    seed: int | None = None
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -159,9 +158,8 @@ def _translate(grid: GridModel, anchors, offsets) -> np.ndarray:
     """Flat indices of anchor + o, wrapped mod m, for each anchor (a d-tuple or
     (k, d) rows) and offset: shape (k, len(offsets)), columns in `offsets` order."""
     d = grid.norm.dim
-    offs = np.array(offsets, dtype=np.int64).reshape(-1, d)
-    cells = (np.reshape(anchors, (-1, 1, d)) + offs) % grid.m
-    return np.ravel_multi_index(np.moveaxis(cells, -1, 0), grid.shape)
+    cells = np.asarray(anchors).reshape(-1, 1, d) + np.array(offsets, dtype=np.int64).reshape(-1, d)
+    return np.ravel_multi_index(cells.T, grid.shape, mode="wrap").T
 
 
 def _metric_from_delta(delta: np.ndarray, norm: Norm) -> np.ndarray:
@@ -465,7 +463,7 @@ def coarsen(ps: PointSet, grid: GridModel) -> CellConfig:
     cells = np.minimum((ps.points * m).astype(np.int64), m - 1)
     flat = np.ravel_multi_index(cells.T, grid.shape)
     counts = np.bincount(flat, minlength=grid.num_cells).astype(np.int64)
-    return CellConfig(counts, grid, seed=ps.seed)
+    return CellConfig(counts, grid)
 
 
 def _draw_cells(g: np.random.Generator, grid: GridModel, R: int = 1, Dp: float | None = None,
@@ -504,7 +502,7 @@ def sample_cell_config(grid: GridModel, seed: int, replica: int = 0) -> CellConf
     """Replica's nominal configuration: the base points of `_draw_cells` from
     `rng.generator(seed, replica)`."""
     counts = _draw_cells(rng.generator(seed, replica), grid)[0][0]
-    return CellConfig(counts, grid, seed=seed)
+    return CellConfig(counts, grid)
 
 
 def _wrapped_slices(o, m: int) -> list:
@@ -707,11 +705,11 @@ def dump_config_csv(cfg: CellConfig) -> str:
     return header + (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def load_config_csv(text: str, grid: GridModel, seed: int | None = None) -> CellConfig:
+def load_config_csv(text: str, grid: GridModel) -> CellConfig:
     """Inverse of `dump_config_csv`; the first line is a header, blank lines
     and CR/CRLF line ends are accepted, and an index outside the grid raises."""
     body = text.strip().replace("\r", "\n").partition("\n")[2]
     rows = np.array(body.replace(",", " ").split(), dtype=np.int64).reshape(-1, grid.norm.dim + 1)
     counts = np.zeros(grid.num_cells, dtype=np.int64)
     counts[np.ravel_multi_index(rows[:, :-1].T, grid.shape)] = rows[:, -1]
-    return CellConfig(counts, grid, seed=seed)
+    return CellConfig(counts, grid)

@@ -8,12 +8,14 @@ Three routes to the upper tail:
     weights stay bounded by 2,
   * exact enumeration on tiny grids as an unbiasedness oracle.
 
-Every lattice draw here is one call of `grid._draw_cells` on one stream:
-the mixture coins, the anchors, the base points, then the planted replicas'
-extra points.  The estimator's chunks, `planted_cell_sampler` (a chunk of
-one, planted whatever its coin) and the nominal draws behind rejection
-sampling (`sample_cell_config`, base points only) differ only in how many
-replicas a stream holds and which of them are planted.
+Every lattice replica here comes from one chunked loop, `_replicas`: chunk c
+is one call of `grid._draw_cells` on the stream (seed, c), 65536
+replicas on grids of at most 512 cells and one above, and it yields the
+chunk's counts, mixture log weights and |E_s|.  The importance estimator
+draws its chunks with the tilt, rejection sampling and the rejection
+estimate without it.  `planted_cell_sampler` is a chunk of one, planted
+whatever its coin, so on grids of more than 512 cells it is replica k of
+the estimator; `sample_cell_config` is the same stream's base points.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .grid import (
     _draw_cells,
     _sgraded_edge_counts,
     sample_cell_config,
-    sgraded_edge_count,
 )
 from .points import ModelParams, PointSet
 from .stats import derived_scales, exact_poisson_tail
@@ -44,7 +45,6 @@ LOG2 = math.log(2.0)
 class WeightedSample:
     config: CellConfig
     log_weight: float
-    replica: int
     component: str  # "nominal" | "planted"
     anchor: tuple
 
@@ -101,14 +101,12 @@ def planted_cell_sampler(
     Dp = _planted_mean(grid, t)
     if Dp <= D:
         warnings.warn("tilted mean D' <= D; falling back to the nominal law")
-        return WeightedSample(sample_cell_config(grid, seed, replica), 0.0, replica, "nominal", ())
+        return WeightedSample(sample_cell_config(grid, seed, replica), 0.0, "nominal", ())
     counts, anchors, clique = _draw_cells(rng.generator(seed, replica), grid, 1, Dp, plant_all=True)
     S = int(counts[0, clique[0]].sum())
     lw = float(_mixture_log_weight(S, D, Dp, grid.tau_s))
     anchor = tuple(anchors[0].tolist())
-    return WeightedSample(
-        CellConfig(counts[0], grid, seed=seed), lw, replica, "planted", anchor
-    )
+    return WeightedSample(CellConfig(counts[0], grid), lw, "planted", anchor)
 
 
 def _estimate_from_log_u(logu: np.ndarray, n: int, t: float, threshold: float, method: str) -> TailEstimate:
@@ -144,6 +142,24 @@ def _estimate_from_log_u(logu: np.ndarray, n: int, t: float, threshold: float, m
     )
 
 
+def _replicas(grid: GridModel, seed: int, replicas: int, Dp: float | None = None):
+    """The replicas in chunks of R (65536 on grids of at most 512 cells, else
+    1): chunk c is one `grid._draw_cells(rng.generator(seed, c), grid, R, Dp)`,
+    so above 512 cells replica k has stream (seed, k).  Yields each chunk's
+    (R, m^d) counts, its mixture log weights (zeros without Dp) and its |E_s|."""
+    if replicas < 1:
+        raise ValueError("need at least 1 replica")
+    chunk = 65536 if grid.num_cells <= 512 else 1
+    for c, lo in enumerate(range(0, replicas, chunk)):
+        R = min(chunk, replicas - lo)
+        X, _, clique = _draw_cells(rng.generator(seed, c), grid, R, Dp)
+        if Dp is None:
+            lw = np.zeros(R)
+        else:
+            lw = _mixture_log_weight(X[np.arange(R)[:, None], clique].sum(axis=1), grid.D, Dp, grid.tau_s)
+        yield X, lw, _sgraded_edge_counts(X.reshape(R, *grid.shape), grid)
+
+
 def importance_estimate_tail(
     grid: GridModel,
     t: float,
@@ -152,46 +168,31 @@ def importance_estimate_tail(
 ) -> TailEstimate:
     """Unbiased estimate of P(|E_s| >= (1+t) mu_s) under the 1/2-1/2 mixture.
 
-    Replicas run in chunks of R (65536 on grids of at most 512 cells, else 1);
-    chunk c makes one `grid._draw_cells` from `rng.generator(seed, c)`, in
-    order: the R component coins, the R anchors, the base points of all R
-    replicas and the extra points of the planted ones.  So on large grids each
-    replica has its own stream, the one `planted_cell_sampler` draws from, and
-    the estimate is deterministic given (seed, replicas).
+    The replicas are `_replicas` with the tilt D': each chunk's stream draws,
+    in order, its component coins, its anchors, the base points of all its
+    replicas and the extra points of the planted ones.  On grids of more than
+    512 cells replica k is the draw `planted_cell_sampler` makes when its coin
+    says planted, and the estimate is deterministic given (seed, replicas).
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas")
     threshold = (1.0 + t) * grid.mu_s
-    D = grid.D
     Dp = _planted_mean(grid, t)
-    if Dp <= D:
+    if Dp <= grid.D:
         raise ValueError("t too small to tilt: D' <= D")
-    chunk = 65536 if grid.num_cells <= 512 else 1
-    logu = np.empty(replicas)
-    for c, lo in enumerate(range(0, replicas, chunk)):
-        R = min(chunk, replicas - lo)
-        X, _, clique = _draw_cells(rng.generator(seed, c), grid, R, Dp)
-        S = X[np.arange(R)[:, None], clique].sum(axis=1)
-        lw = _mixture_log_weight(S, D, Dp, grid.tau_s)
-        edges = _sgraded_edge_counts(X.reshape(R, *grid.shape), grid)
-        logu[lo : lo + R] = np.where(edges >= threshold, lw, -np.inf)
+    logu = np.concatenate(
+        [np.where(edges >= threshold, lw, -np.inf) for _, lw, edges in _replicas(grid, seed, replicas, Dp)]
+    )
     return _estimate_from_log_u(logu, replicas, t, threshold, "importance")
-
-
-def _nominal_draws(grid: GridModel, budget: int, seed: int):
-    """Replica k's nominal config, from `rng.generator(seed, k)`, with its |E_s|."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    for k in range(budget):
-        cfg = sample_cell_config(grid, seed, k)
-        yield cfg, sgraded_edge_count(cfg)
 
 
 def rejection_conditional(
     grid: GridModel, threshold: float, budget: int, seed: int
 ):
     """Accept nominal draws with |E_s| >= threshold; returns (configs, rate)."""
-    accepted = [cfg for cfg, edges in _nominal_draws(grid, budget, seed) if edges >= threshold]
+    accepted = [
+        CellConfig(x, grid) for X, _, edges in _replicas(grid, seed, budget) for x in X[edges >= threshold]
+    ]
     return accepted, len(accepted) / budget
 
 
@@ -200,7 +201,7 @@ def rejection_estimate_tail(
 ) -> TailEstimate:
     """Plain Monte Carlo tail estimate (weight 1); feasible near the bulk only."""
     threshold = (1.0 + t) * grid.mu_s
-    hits = sum(edges >= threshold for _, edges in _nominal_draws(grid, replicas, seed))
+    hits = sum(int((edges >= threshold).sum()) for _, _, edges in _replicas(grid, seed, replicas))
     rate = hits / replicas
     if rate == 0.0:
         return TailEstimate(

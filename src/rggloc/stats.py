@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellConfig, GridModel, neighbor_offsets, sgraded_edge_count
+from .grid import CellConfig, GridModel, _translate, neighbor_offsets, sgraded_edge_count
 
 
 @dataclass(frozen=True)
@@ -204,10 +204,10 @@ def _pair_sums(cfg: CellConfig, mask: np.ndarray, mask2: np.ndarray):
     grid = cfg.grid
     members = np.flatnonzero(mask)
     xw = cfg.counts[members]
-    cells = np.stack(np.unravel_index(members, grid.shape))
+    cells = np.stack(np.unravel_index(members, grid.shape), axis=-1)
     cross = 0
-    for o in np.array(neighbor_offsets(grid), dtype=np.int64):
-        nb = np.ravel_multi_index(cells + o[:, None], grid.shape, mode="wrap")
+    for o in neighbor_offsets(grid):
+        nb = _translate(grid, cells, o)[:, 0]
         cross += int(xw @ np.where(mask2[nb], cfg.counts[nb], 0))
     return int((xw * (xw - 1)).sum()) // 2, cross
 

@@ -187,6 +187,12 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_condition_with_no_budget_is_a_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, sampler={"method": "rejection", "budget": 0})
+    assert main(["condition", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_verify_reproducible_and_green(tmp_path):
     cfg = _write_config(tmp_path)
     outa, outb = tmp_path / "va", tmp_path / "vb"

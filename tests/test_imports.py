@@ -1,6 +1,6 @@
-"""Every module-level import in the package is used in its module, no
-function imports from the package itself, and importing the CLI does not
-load scipy.spatial."""
+"""Every module-level import in the package is used in its module, every
+`RunConfig` field is read by the CLI, no function imports from the package
+itself, and importing the CLI does not load scipy.spatial."""
 
 import ast
 import os
@@ -39,6 +39,28 @@ def test_unused_import_check_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unread_fields(source: str, cls: str, var: str = "cfg") -> list:
+    """The annotated fields of class `cls` that `source` never reads as `var.<field>`."""
+    tree = ast.parse(source)
+    body = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls).body
+    read = {
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        and isinstance(n.value, ast.Name) and n.value.id == var
+    }
+    return [n.target.id for n in body if isinstance(n, ast.AnnAssign) and n.target.id not in read]
+
+
+def test_unread_field_check_sees_unread_fields():
+    src = "class C:\n    a: int\n    b: int\n    c: int\ndef f(cfg, x):\n    cfg.c = x.b\n    return cfg.a\n"
+    assert _unread_fields(src, "C") == ["b", "c"]
+
+
+def test_every_run_config_field_is_read_by_the_cli():
+    assert _unread_fields((Path(rggloc.__file__).parent / "cli.py").read_text(), "RunConfig") == []
 
 
 def _function_local_package_imports(source: str) -> list:

@@ -305,6 +305,50 @@ def test_rejection_estimate_counts_the_conditional_acceptances(tiny):
         )
 
 
+def test_rejection_on_tiny_takes_the_rows_of_the_batched_streams(tiny):
+    # on grids of at most 512 cells the nominal replicas are the rows of
+    # 65536-replica chunks, chunk c drawn from stream (seed, c)
+    budget, seed = 65536 + 1000, 47
+    X = np.concatenate([
+        _draw_cells(rng.generator(seed, 0), tiny, 65536)[0],
+        _draw_cells(rng.generator(seed, 1), tiny, 1000)[0],
+    ])
+    want = X[_pair_edge_counts(X, _edge_pairs(tiny)) >= 1.5 * tiny.mu_s]
+    accepted, rate = rejection_conditional(tiny, 1.5 * tiny.mu_s, budget, seed)
+    assert 0 < len(want) < budget
+    assert np.array_equal(np.array([c.counts for c in accepted]), want)
+    assert rate == len(want) / budget
+    assert rejection_estimate_tail(tiny, t=0.5, replicas=budget, seed=seed).n_hits == len(want)
+
+
+def test_rejection_above_512_cells_draws_replica_k_from_stream_k():
+    # the per-replica loop the chunked one replaced, kept here as the reference
+    readme = build_grid(params_for_p_hat(1e3, 1.0, Norm("linf", 1)), 5)
+    assert readme.num_cells == 5000
+    t, budget, seed = 0.02, 300, 5
+    threshold = (1.0 + t) * readme.mu_s
+    draws = [sample_cell_config(readme, seed, k) for k in range(budget)]
+    want = [c.counts for c in draws if sgraded_edge_count(c) >= threshold]
+    accepted, rate = rejection_conditional(readme, threshold, budget, seed)
+    assert 0 < len(want) < budget
+    assert np.array_equal(np.array([c.counts for c in accepted]), np.array(want))
+    assert rate == len(want) / budget
+    p = len(want) / budget
+    se = math.sqrt(p * (1.0 - p) / budget)
+    assert rejection_estimate_tail(readme, t=t, replicas=budget, seed=seed) == TailEstimate(
+        t=t, log_prob=math.log(p), std_err=se, rel_std_err=se / p,
+        n_replicas=budget, method="rejection", threshold=threshold,
+        unreliable=budget * p < 10, ess=float(len(want)), n_hits=len(want),
+    )
+
+
+def test_rejection_needs_a_replica(tiny):
+    with pytest.raises(ValueError):
+        rejection_conditional(tiny, tiny.mu_s, budget=0, seed=1)
+    with pytest.raises(ValueError):
+        rejection_estimate_tail(tiny, t=1.0, replicas=0, seed=1)
+
+
 def test_unreliable_flag_on_hopeless_tail(tiny):
     # plain Monte Carlo at a deep tail finds nothing and must say so
     est = rejection_estimate_tail(tiny, t=30.0, replicas=500, seed=48)
