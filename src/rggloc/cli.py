@@ -334,9 +334,9 @@ def cmd_condition(cfg: RunConfig) -> int:
         threshold = (1.0 + cfg.delta_tilde) * grid.mu_s
         accepted = 0
         for X, _, edges in _replicas(grid, cfg.seed, cfg.budget):
-            for x in X[edges >= threshold]:
+            for k in np.flatnonzero(edges >= threshold):
                 if accepted < 50:
-                    c = CellConfig(x, grid)
+                    c = CellConfig(X[k], grid)
                     f = cfg.output_dir / f"accepted_{accepted:04d}.csv"
                     f.write_text(dump_config_csv(c))
                     files.append(f)

@@ -5,9 +5,12 @@ The torus is cut into m^d cells of side 1/m with m = floor(s/r); cell
 occupancies are independent Poisson(D) with D = n/m^d.  Every lattice
 sampler takes them from one draw, `_draw_cells`, which samples the Poisson
 process as points: N ~ Pois(R m^d D) uniform flat indices over a batch of R
-replicas, counted by one `np.bincount`, plus, on each planted replica,
-Pois(tau_s (D' - D)) points uniform over its translated clique set, which
-raise those cells to Poisson(D') by superposition.  The integer cell
+replicas, plus, on each planted replica, Pois(tau_s (D' - D)) points uniform
+over its translated clique set, which raise those cells to Poisson(D') by
+superposition.  It counts them with `np.add.at` into an (R, m^d) buffer
+that the caller owns: the replica loop reuses one float64 buffer and
+allocates no counts per replica, and a single config is one int64 row.
+The integer cell
 metric d(I,J) is the smallest integer z such that interior points of the two
 cells can be closer than z cell widths; for monotone norms this has the
 closed form floor(||max(delta-1, 0)||) + 1 with delta the wrapped per-axis
@@ -36,11 +39,15 @@ Every lattice stencil takes one wrapped-slice path.  `_wrapped_slices` maps
 an offset o (mod m) to the at most 2^d pairs of slices (a, b) for which
 x[..., a] and x[..., b] line up each cell I with I + o on the torus.
 `_shift_sum` gathers each shift through them into one reused buffer, and the
-s-graded edge count contracts each pair with one `np.einsum`:
+s-graded edge count contracts each pair with a batched row-times-column
+product, a BLAS dot on float64:
 |E_s| = sum_I C(X_I, 2) + sum_{o in H} sum_I X_I X_{I+o}, with H one offset
 of each {o, -o} pair of the neighbour offsets, so half the stencil and no
 shifted copy.  On a tiny grid an offset with o = -o mod m (o = 2 at m = 4)
-meets every pair twice and takes weight 1/2; all of it stays exact in int64.
+meets every pair twice and takes weight 1/2.  Every partial sum is a sum of
+nonnegative integer products, at most (sum X)^2, so the count is exact in any
+summation order while (sum X)^2 stays below 2^53 in float64 (2^62 in int64),
+and raises OverflowError beyond.
 
 Hulls and inscribed balls compare regions with unions of cells through one
 array helper, the per-axis wrapped (min, max) distance from a point to
@@ -466,43 +473,50 @@ def coarsen(ps: PointSet, grid: GridModel) -> CellConfig:
     return CellConfig(counts, grid)
 
 
-def _draw_cells(g: np.random.Generator, grid: GridModel, R: int = 1, Dp: float | None = None,
+def _draw_cells(g: np.random.Generator, grid: GridModel, out: np.ndarray, Dp: float | None = None,
                 plant_all: bool = False):
-    """R independent cell configurations from g, as (R, m^d) int64 counts,
-    drawn as points and counted per cell.
+    """Count R = len(out) independent cell configurations from g into `out`, a
+    caller-owned C-contiguous (R, m^d) buffer that it zeroes first, drawn as
+    points and added per cell by `np.add.at`.  The replica loop passes one
+    float64 buffer for all its chunks, which its |E_s| contraction reads
+    with BLAS dots; a single config passes a fresh int64 row, which
+    `CellConfig` keeps without a copy.
 
     Without Dp, the draw is N ~ Pois(R m^d D) uniform flat indices
-    replica * m^d + cell in [0, R m^d), counted by one `np.bincount`: every
-    cell of every replica is an independent Poisson(D).  With Dp > D it
-    draws, in order, R coins (a replica is planted when its coin is < 1/2,
-    or always with `plant_all`), R uniform anchor cells, the same base
-    points, and K ~ Pois(P tau_s (Dp - D)) extra points, uniform over the
-    tau_s translated clique-set cells of the P planted replicas.  By
-    superposition those cells are then Poisson(Dp), independently.
+    replica * m^d + cell in [0, R m^d): every cell of every replica is an
+    independent Poisson(D).  With Dp > D it draws, in order, R coins (a
+    replica is planted when its coin is < 1/2, or always with `plant_all`),
+    R uniform anchor cells, the same base points, and K ~ Pois(P tau_s
+    (Dp - D)) extra points, uniform over the tau_s translated clique-set
+    cells of the P planted replicas.  By superposition those cells are then
+    Poisson(Dp), independently.  The counts are small integers, exact in
+    either dtype.
 
-    Returns (counts, anchors, clique): the anchors as (R, d) index rows and
-    each replica's clique-set cells as (R, tau_s) flat indices in
+    Returns (anchors, clique): the anchors as (R, d) index rows and each
+    replica's clique-set cells as (R, tau_s) flat indices in
     `clique_offsets` order, both None without Dp."""
-    M = grid.num_cells
+    R, M = out.shape
     anchors = clique = None
     if Dp is not None:
         planted = (g.random(R) < 0.5) | plant_all
         anchors = np.stack(np.unravel_index(g.integers(M, size=R), grid.shape), axis=-1)
         clique = _translate(grid, anchors, grid.clique_offsets)
-    points = g.integers(R * M, size=g.poisson(R * M * grid.D))
+    flat = out.reshape(-1)
+    one = out.dtype.type(1)  # np.add.at takes a 40x slower loop for a 1 of another dtype
+    flat.fill(0)
+    np.add.at(flat, g.integers(R * M, size=g.poisson(R * M * grid.D)), one)
     if Dp is not None:
         cells = (clique + M * np.arange(R)[:, None])[planted].ravel()
-        extra = cells[g.integers(cells.size, size=g.poisson(cells.size * (Dp - grid.D)))]
-        points = np.concatenate([points, extra])
-    counts = np.bincount(points, minlength=R * M).reshape(R, M)
-    return counts, anchors, clique
+        np.add.at(flat, cells[g.integers(cells.size, size=g.poisson(cells.size * (Dp - grid.D)))], one)
+    return anchors, clique
 
 
 def sample_cell_config(grid: GridModel, seed: int, replica: int = 0) -> CellConfig:
     """Replica's nominal configuration: the base points of `_draw_cells` from
     `rng.generator(seed, replica)`."""
-    counts = _draw_cells(rng.generator(seed, replica), grid)[0][0]
-    return CellConfig(counts, grid)
+    counts = np.empty((1, grid.num_cells), dtype=np.int64)
+    _draw_cells(rng.generator(seed, replica), grid, counts)
+    return CellConfig(counts[0], grid)
 
 
 def _wrapped_slices(o, m: int) -> list:
@@ -535,29 +549,38 @@ def _shift_sum(x: np.ndarray, offsets) -> np.ndarray:
 
 
 def _pair_product(x: np.ndarray, o, m: int) -> np.ndarray:
-    """sum_I x[..., I] * x[..., I + o] over the trailing len(o) axes, wrapped mod m."""
-    ax = "abcdefghij"[: len(o)]
-    spec = f"...{ax},...{ax}->..."
-    return sum(np.einsum(spec, x[a], x[b]) for a, b in _wrapped_slices(o, m))
+    """sum_I x[..., I] * x[..., I + o] over the trailing len(o) axes, wrapped
+    mod m: each wrapped slice pair is contracted along its last axis by a
+    batched (1, k) @ (k, 1) product, a BLAS dot on float64, and summed over
+    the other trailing axes."""
+    rest = tuple(range(1 - len(o), 0))
+    return sum(
+        (x[a][..., None, :] @ x[b][..., :, None])[..., 0, 0].sum(axis=rest) for a, b in _wrapped_slices(o, m)
+    )
 
 
 def _sgraded_edge_counts(x: np.ndarray, grid: GridModel) -> np.ndarray:
-    """|E_s| of each lattice in x, shape (..., *grid.shape); exact in int64.
+    """|E_s| of each lattice in x, shape (..., *grid.shape), as int64.
 
     Twice the count is sum x^2 - sum x, plus 2 sum_I X_I X_{I+o} for one
     offset o of each {o, -o} pair of `neighbor_offsets`, plus the product
     once for an offset with o = -o mod m (tiny grids), which already meets
-    every pair of cells twice."""
+    every pair of cells twice.  Every partial sum is a sum of nonnegative
+    integer products, at most (sum x)^2, so the count is exact in any
+    summation order when (sum x)^2 stays below 2^53 for float64 input or
+    2^62 for int64; past its bound it raises OverflowError."""
     d, m = grid.norm.dim, grid.m
     axes = tuple(range(x.ndim - d, x.ndim))
     total = x.sum(axis=axes)
-    if (total.astype(float) ** 2 > 2**62).any():
-        raise OverflowError("edge count would overflow int64")
+    bound = 2.0**53 if x.dtype.kind == "f" else 2.0**62
+    if (total.astype(float) ** 2 >= bound).any():
+        raise OverflowError(f"edge count would not be exact in {x.dtype}")
     twice = _pair_product(x, (0,) * d, m) - total
     for o in neighbor_offsets(grid):
         fwd, back = tuple(c % m for c in o), tuple(-c % m for c in o)
         if fwd <= back:
             twice += (1 + (fwd < back)) * _pair_product(x, o, m)
+    twice = twice.astype(np.int64)
     assert (twice % 2 == 0).all()
     return twice // 2
 

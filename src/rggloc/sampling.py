@@ -10,8 +10,9 @@ Three routes to the upper tail:
 
 Every lattice replica here comes from one chunked loop, `_replicas`: chunk c
 is one call of `grid._draw_cells` on the stream (seed, c), 65536
-replicas on grids of at most 512 cells and one above, and it yields the
-chunk's counts, mixture log weights and |E_s|.  The importance estimator
+replicas on grids of at most 512 cells and one above, redrawn into one
+float64 work buffer, and it yields the chunk's counts, mixture log weights
+and |E_s|.  The importance estimator
 draws its chunks with the tilt, rejection sampling and the rejection
 estimate without it.  `planted_cell_sampler` is a chunk of one, planted
 whatever its coin, so on grids of more than 512 cells it is replica k of
@@ -102,7 +103,8 @@ def planted_cell_sampler(
     if Dp <= D:
         warnings.warn("tilted mean D' <= D; falling back to the nominal law")
         return WeightedSample(sample_cell_config(grid, seed, replica), 0.0, "nominal", ())
-    counts, anchors, clique = _draw_cells(rng.generator(seed, replica), grid, 1, Dp, plant_all=True)
+    counts = np.empty((1, grid.num_cells), dtype=np.int64)
+    anchors, clique = _draw_cells(rng.generator(seed, replica), grid, counts, Dp, plant_all=True)
     S = int(counts[0, clique[0]].sum())
     lw = float(_mixture_log_weight(S, D, Dp, grid.tau_s))
     anchor = tuple(anchors[0].tolist())
@@ -144,15 +146,21 @@ def _estimate_from_log_u(logu: np.ndarray, n: int, t: float, threshold: float, m
 
 def _replicas(grid: GridModel, seed: int, replicas: int, Dp: float | None = None):
     """The replicas in chunks of R (65536 on grids of at most 512 cells, else
-    1): chunk c is one `grid._draw_cells(rng.generator(seed, c), grid, R, Dp)`,
+    1): chunk c is one `grid._draw_cells(rng.generator(seed, c), grid, X, Dp)`,
     so above 512 cells replica k has stream (seed, k).  Yields each chunk's
-    (R, m^d) counts, its mixture log weights (zeros without Dp) and its |E_s|."""
+    (R, m^d) float64 counts X, its mixture log weights (zeros without Dp) and
+    its int64 |E_s|.  X is a view of one work buffer allocated before the
+    first chunk and redrawn in place for each next one, so the loop allocates
+    no counts per replica; a caller that keeps counts copies them first
+    (`CellConfig` does, casting to int64)."""
     if replicas < 1:
         raise ValueError("need at least 1 replica")
     chunk = 65536 if grid.num_cells <= 512 else 1
+    buf = np.empty((min(chunk, replicas), grid.num_cells))
     for c, lo in enumerate(range(0, replicas, chunk)):
         R = min(chunk, replicas - lo)
-        X, _, clique = _draw_cells(rng.generator(seed, c), grid, R, Dp)
+        X = buf[:R]
+        _, clique = _draw_cells(rng.generator(seed, c), grid, X, Dp)
         if Dp is None:
             lw = np.zeros(R)
         else:
@@ -191,7 +199,9 @@ def rejection_conditional(
 ):
     """Accept nominal draws with |E_s| >= threshold; returns (configs, rate)."""
     accepted = [
-        CellConfig(x, grid) for X, _, edges in _replicas(grid, seed, budget) for x in X[edges >= threshold]
+        CellConfig(X[k], grid)
+        for X, _, edges in _replicas(grid, seed, budget)
+        for k in np.flatnonzero(edges >= threshold)
     ]
     return accepted, len(accepted) / budget
 

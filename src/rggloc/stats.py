@@ -203,6 +203,8 @@ def _pair_sums(cfg: CellConfig, mask: np.ndarray, mask2: np.ndarray):
     """
     grid = cfg.grid
     members = np.flatnonzero(mask)
+    if not len(members):
+        return 0, 0
     xw = cfg.counts[members]
     cells = np.stack(np.unravel_index(members, grid.shape), axis=-1)
     cross = 0

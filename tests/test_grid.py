@@ -450,6 +450,27 @@ def test_sgraded_edge_counts_refuse_int64_overflow(tiny, l2_grid):
         assert _sgraded_edge_counts(x, grid).tolist() == [0, 2 * 10**9 * (2 * 10**9 - 1) // 2]
 
 
+def test_sgraded_edge_counts_agree_in_float64_and_int64():
+    # the replica loop contracts float64 counts; below 2^53 they are exact
+    for k, grid in enumerate(_kernel_grids()):
+        for R in (1, 3) if grid.num_cells > 16 else (1, 500):
+            x = np.random.default_rng(k).poisson(max(grid.D, 1.0), size=(R, *grid.shape))
+            got = _sgraded_edge_counts(x.astype(float), grid)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _sgraded_edge_counts(x, grid))
+
+
+def test_sgraded_edge_counts_refuse_float64_past_2_53(tiny, l2_grid):
+    top = math.isqrt(2**53)  # top^2 < 2^53 <= (top + 1)^2
+    for grid in (tiny, l2_grid):
+        x = np.zeros((2, *grid.shape))
+        x[1].flat[0] = top + 1
+        with pytest.raises(OverflowError):
+            _sgraded_edge_counts(x, grid)
+        x[1].flat[0] = top
+        assert _sgraded_edge_counts(x, grid).tolist() == [0, top * (top - 1) // 2]
+
+
 def test_tiny_grid_complete_graph(tiny):
     # on the m=4, s=3 wrapped line every pair of cells is adjacent
     assert tiny.nbhd_size == 4

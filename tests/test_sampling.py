@@ -28,7 +28,7 @@ from rggloc.grid import (
     tiny_grid,
     unflat_index,
 )
-from rggloc.sampling import _estimate_from_log_u, _mixture_log_weight, _planted_mean
+from rggloc.sampling import _estimate_from_log_u, _mixture_log_weight, _planted_mean, _replicas
 
 
 def _edge_pairs(grid):
@@ -71,6 +71,13 @@ def _reference_draw(grid, Dp, g, R, plant_all=False):
     cells = np.array([r * M + f for r in range(R) if planted[r] for f in clf[r]], dtype=np.int64)
     np.add.at(X, cells[g.integers(len(cells), size=g.poisson(len(cells) * (Dp - D)))], 1)
     return X.reshape(R, M), planted, anchors, clf
+
+
+def _cells(g, grid, R, Dp=None):
+    """`_draw_cells` of R replicas into a fresh int64 buffer."""
+    out = np.empty((R, grid.num_cells), dtype=np.int64)
+    _draw_cells(g, grid, out, Dp)
+    return out
 
 
 def _per_replica_reference(grid, t, replicas, seed):
@@ -183,7 +190,7 @@ def _tiny_batches(tiny, seed, chunks=10):
     Dp = _planted_mean(tiny, 1.0)
     out = [], []
     for c in range(chunks):
-        X = _draw_cells(rng.generator(seed, c), tiny, 65536, Dp)[0]
+        X = _cells(rng.generator(seed, c), tiny, 65536, Dp)
         coins = rng.generator(seed, c).random(65536) < 0.5
         out[0].append(X[~coins])
         out[1].append(X[coins])
@@ -213,9 +220,9 @@ def test_per_replica_cells_are_poisson_d_off_the_planted_set():
 
 
 def test_batched_replicas_are_uncorrelated(tiny):
-    # rows of one (R, m^d) batch share a single Poisson total and bincount;
+    # rows of one (R, m^d) batch share a single Poisson total and count;
     # cell counts of replicas r and r + lag are still uncorrelated
-    X = _draw_cells(rng.generator(64, 0), tiny, 65536, _planted_mean(tiny, 1.0))[0]
+    X = _cells(rng.generator(64, 0), tiny, 65536, _planted_mean(tiny, 1.0))
     for lag in (1, 2, 4096, 32768):
         a, b = X[:-lag].ravel(), X[lag:].ravel()
         assert abs(np.corrcoef(a, b)[0, 1]) < 5.0 / math.sqrt(a.size)
@@ -307,22 +314,26 @@ def test_rejection_estimate_counts_the_conditional_acceptances(tiny):
 
 def test_rejection_on_tiny_takes_the_rows_of_the_batched_streams(tiny):
     # on grids of at most 512 cells the nominal replicas are the rows of
-    # 65536-replica chunks, chunk c drawn from stream (seed, c)
+    # 65536-replica chunks, chunk c drawn from stream (seed, c); configs
+    # accepted from the first 1000 rows of chunk 0 must survive chunk 1
+    # being drawn into the same rows of the loop's buffer
     budget, seed = 65536 + 1000, 47
     X = np.concatenate([
-        _draw_cells(rng.generator(seed, 0), tiny, 65536)[0],
-        _draw_cells(rng.generator(seed, 1), tiny, 1000)[0],
+        _cells(rng.generator(seed, 0), tiny, 65536),
+        _cells(rng.generator(seed, 1), tiny, 1000),
     ])
-    want = X[_pair_edge_counts(X, _edge_pairs(tiny)) >= 1.5 * tiny.mu_s]
+    hits = np.flatnonzero(_pair_edge_counts(X, _edge_pairs(tiny)) >= 1.5 * tiny.mu_s)
+    want = X[hits]
     accepted, rate = rejection_conditional(tiny, 1.5 * tiny.mu_s, budget, seed)
-    assert 0 < len(want) < budget
+    assert hits[0] < 1000 and hits[-1] >= 65536 and len(want) < budget
     assert np.array_equal(np.array([c.counts for c in accepted]), want)
     assert rate == len(want) / budget
     assert rejection_estimate_tail(tiny, t=0.5, replicas=budget, seed=seed).n_hits == len(want)
 
 
 def test_rejection_above_512_cells_draws_replica_k_from_stream_k():
-    # the per-replica loop the chunked one replaced, kept here as the reference
+    # the per-replica loop the chunked one replaced, kept here as the
+    # reference; accepted configs must outlive the loop's reused buffer
     readme = build_grid(params_for_p_hat(1e3, 1.0, Norm("linf", 1)), 5)
     assert readme.num_cells == 5000
     t, budget, seed = 0.02, 300, 5
@@ -347,6 +358,23 @@ def test_rejection_needs_a_replica(tiny):
         rejection_conditional(tiny, tiny.mu_s, budget=0, seed=1)
     with pytest.raises(ValueError):
         rejection_estimate_tail(tiny, t=1.0, replicas=0, seed=1)
+
+
+def test_replica_chunks_are_redrawn_into_one_buffer():
+    # every chunk is a view of the same work buffer, and what it yields is
+    # the fresh draw of its stream with its weight and edge count
+    readme = build_grid(params_for_p_hat(1e3, 1.0, Norm("linf", 1)), 5)
+    Dp, seed = _planted_mean(readme, 1.0), 17
+    first = None
+    for c, (X, lw, edges) in enumerate(_replicas(readme, seed, 40, Dp)):
+        first = X if first is None else first
+        assert X.shape == (1, readme.num_cells) and np.shares_memory(X, first)
+        out = np.empty((1, readme.num_cells))
+        _, clique = _draw_cells(rng.generator(seed, c), readme, out, Dp)
+        assert np.array_equal(X, out)
+        assert lw.tolist() == [_mixture_log_weight(out[0, clique[0]].sum(), readme.D, Dp, readme.tau_s)]
+        assert edges.dtype == np.int64 and edges.tolist() == [sgraded_edge_count(CellConfig(out[0], readme))]
+    assert c == 39
 
 
 def test_unreliable_flag_on_hopeless_tail(tiny):

@@ -174,6 +174,18 @@ def test_pair_sums_match_dense_rolls(l2_grid, l2_scales):
         _assert_pair_sums_match_dense(ws.config, l2_scales, rng)
 
 
+def test_pair_sums_of_an_empty_set_skip_the_offsets(l2_grid, l2_scales, monkeypatch):
+    # an empty W returns before the neighbour-offset loop, which would gather
+    # nothing at |N_I| - 1 = 108 offsets
+    cfg = planted_cell_sampler(l2_grid, 1.0, seed=66, replica=0)
+    empty = np.zeros(l2_grid.num_cells, dtype=bool)
+    monkeypatch.setattr("rggloc.stats._translate", None)
+    assert _pair_sums(cfg.config, empty, empty) == (0, 0)
+    assert _pair_sums(cfg.config, empty, ~empty) == (0, 0)
+    assert Q_cross(empty, ~empty, cfg.config, l2_scales) == 0.0
+    assert Q_cross([], clique_translate(l2_grid, cfg.anchor), cfg.config, l2_scales) == 0.0
+
+
 @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
 def test_pair_sums_match_dense_rolls_on_wrapped_tiny_grids(kind):
     # m = 4..7 < 2s+3, where an offset o can equal -o mod m
