@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,6 +69,12 @@ def extract_P(cfg: CellConfig, frakT: np.ndarray, scales: DerivedScales) -> np.n
     return frakT[cfg.counts[frakT] > cut]
 
 
+def _report_json(report, schema: str) -> str:
+    """A report as sorted-key JSON: its schema and every field, tuples as arrays."""
+    doc = {f.name: getattr(report, f.name) for f in fields(report)}
+    return json.dumps({"schema": schema, **doc}, sort_keys=True)
+
+
 @dataclass(frozen=True)
 class LocalizationReport:
     """Theorem-2 clauses of one config; frakI/T/P are sorted tuples of index tuples."""
@@ -86,23 +92,7 @@ class LocalizationReport:
     insufficient_mass: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": "thm2_report.v1",
-                "frakI": self.frakI,
-                "frakT": self.frakT,
-                "frakP": self.frakP,
-                "diamP": self.diamP,
-                "cardP": self.cardP,
-                "max_dev_inside": self.max_dev_inside,
-                "max_ratio_outside": self.max_ratio_outside,
-                "QP": self.QP,
-                "thm2_pass": self.thm2_pass,
-                "eps_tilde": self.eps_tilde,
-                "insufficient_mass": self.insufficient_mass,
-            },
-            sort_keys=True,
-        )
+        return _report_json(self, "thm2_report.v1")
 
 
 def certify_thm2(
@@ -202,27 +192,7 @@ class Thm1Report:
     n_probes_b: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": "thm1_report.v1",
-                "center": list(self.center),
-                "r": self.r,
-                "delta": self.delta,
-                "eps": self.eps,
-                "target": self.target,
-                "count_A": self.count_A,
-                "clause_a_margin_SA": self.clause_a_margin_SA,
-                "clause_a_pass_SA": self.clause_a_pass_SA,
-                "clause_a_worst": self.clause_a_worst,
-                "clause_a_worst_probe": self.clause_a_worst_probe,
-                "clause_a_pass": self.clause_a_pass,
-                "clause_b_worst": self.clause_b_worst,
-                "clause_b_pass": self.clause_b_pass,
-                "n_probes_a": self.n_probes_a,
-                "n_probes_b": self.n_probes_b,
-            },
-            sort_keys=True,
-        )
+        return _report_json(self, "thm1_report.v1")
 
 
 def _densest_ball_center(ps: PointSet, params: ModelParams, s: int = 5) -> tuple:

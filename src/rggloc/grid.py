@@ -79,8 +79,11 @@ class CliqueResult:
     """Outcome of a maximum clique-set search."""
 
     members: frozenset  # of CellIndex
-    size: int
-    exact: bool  # always True: the search runs to completion, with no time limit
+    exact = True  # the search runs to completion, with no time limit
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -90,11 +93,22 @@ class GridModel:
     n: float
     r: float
     norm: Norm
-    D: float
-    nbhd_size: int
-    tau_s: int
     # canonical max clique set as offsets with min corner at the origin
     clique_offsets: tuple
+
+    @property
+    def D(self) -> float:
+        """Mean cell occupancy n / m^d."""
+        return self.n / self.m**self.norm.dim
+
+    @property
+    def nbhd_size(self) -> int:
+        """|N_I|: the cell itself and its neighbour offsets."""
+        return len(neighbor_offsets(self)) + 1
+
+    @property
+    def tau_s(self) -> int:
+        return len(self.clique_offsets)
 
     @property
     def num_cells(self) -> int:
@@ -383,21 +397,7 @@ def _tau_s_cached(kind: str, dim: int, s: int) -> tuple:
 
 def max_clique_info(norm: Norm, s: int) -> CliqueResult:
     offsets = _tau_s_cached(norm.kind, norm.dim, s)
-    return CliqueResult(members=frozenset(offsets), size=len(offsets), exact=True)
-
-
-def _grid_model(norm: Norm, s: int, m: int, n: float, r: float, clique: tuple) -> GridModel:
-    return GridModel(
-        s=s,
-        m=m,
-        n=n,
-        r=r,
-        norm=norm,
-        D=n / m**norm.dim,
-        nbhd_size=len(_neighbor_offsets_cached(norm.kind, norm.dim, s, m)) + 1,
-        tau_s=len(clique),
-        clique_offsets=clique,
-    )
+    return CliqueResult(members=frozenset(offsets))
 
 
 def build_grid(params: ModelParams, s: int) -> GridModel:
@@ -407,13 +407,13 @@ def build_grid(params: ModelParams, s: int) -> GridModel:
     if m < 2 * s + 3:
         raise ValueError(f"grid too coarse: m={m} < 2s+3={2 * s + 3}")
     norm = params.norm
-    return _grid_model(norm, s, m, params.n, params.r, _tau_s_cached(norm.kind, norm.dim, s))
+    return GridModel(s, m, params.n, params.r, norm, _tau_s_cached(norm.kind, norm.dim, s))
 
 
 def tiny_grid(norm: Norm, m: int, s: int, n: float) -> GridModel:
     """Grid for exact-enumeration oracles; bypasses the m >= 2s+3 precondition."""
     clique = _as_offsets(_max_clique(_lattice(0, m, norm.dim), norm, s, m))
-    return _grid_model(norm, s, m, n, s / m, clique)
+    return GridModel(s, m, n, s / m, norm, clique)
 
 
 def clique_translate(grid: GridModel, anchor: CellIndex) -> frozenset:
@@ -464,13 +464,9 @@ def is_maximal_clique_set(members, grid: GridModel) -> bool:
 
 def coarsen(ps: PointSet, grid: GridModel) -> CellConfig:
     m = grid.m
-    d = grid.norm.dim
-    if len(ps) == 0:
-        return CellConfig(np.zeros(grid.num_cells, dtype=np.int64), grid)
     cells = np.minimum((ps.points * m).astype(np.int64), m - 1)
     flat = np.ravel_multi_index(cells.T, grid.shape)
-    counts = np.bincount(flat, minlength=grid.num_cells).astype(np.int64)
-    return CellConfig(counts, grid)
+    return CellConfig(np.bincount(flat, minlength=grid.num_cells), grid)
 
 
 def _draw_cells(g: np.random.Generator, grid: GridModel, out: np.ndarray, Dp: float | None = None,

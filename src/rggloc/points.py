@@ -87,8 +87,6 @@ class ModelParams:
 
 def expected_edges(params: ModelParams) -> float:
     n = params.n
-    if n == 0:
-        return 0.0
     return 0.5 * n * n * params.norm.nu * params.r**params.norm.dim
 
 

@@ -37,7 +37,7 @@ from .grid import (
     sample_cell_config,
 )
 from .points import ModelParams, PointSet
-from .stats import derived_scales, exact_poisson_tail
+from .stats import derived_scales, exact_poisson_tail, log_poisson_pmf
 
 LOG2 = math.log(2.0)
 
@@ -46,8 +46,11 @@ LOG2 = math.log(2.0)
 class WeightedSample:
     config: CellConfig
     log_weight: float
-    component: str  # "nominal" | "planted"
-    anchor: tuple
+    anchor: tuple  # the planted clique set's anchor cell; () for a nominal draw
+
+    @property
+    def component(self) -> str:
+        return "planted" if self.anchor else "nominal"
 
 
 @dataclass(frozen=True)
@@ -102,13 +105,13 @@ def planted_cell_sampler(
     Dp = _planted_mean(grid, t)
     if Dp <= D:
         warnings.warn("tilted mean D' <= D; falling back to the nominal law")
-        return WeightedSample(sample_cell_config(grid, seed, replica), 0.0, "nominal", ())
+        return WeightedSample(sample_cell_config(grid, seed, replica), 0.0, ())
     counts = np.empty((1, grid.num_cells), dtype=np.int64)
     anchors, clique = _draw_cells(rng.generator(seed, replica), grid, counts, Dp, plant_all=True)
     S = int(counts[0, clique[0]].sum())
     lw = float(_mixture_log_weight(S, D, Dp, grid.tau_s))
     anchor = tuple(anchors[0].tolist())
-    return WeightedSample(CellConfig(counts[0], grid), lw, "planted", anchor)
+    return WeightedSample(CellConfig(counts[0], grid), lw, anchor)
 
 
 def _estimate_from_log_u(logu: np.ndarray, n: int, t: float, threshold: float, method: str) -> TailEstimate:
@@ -237,7 +240,7 @@ def exact_tail_tiny(grid: GridModel, threshold: float) -> TailEstimate:
     K = 1
     while nc * exact_poisson_tail(D, K, "upper") > 1e-10:
         K += 1
-    pmf = np.array([math.exp(-D + k * math.log(D) - math.lgamma(k + 1)) for k in range(K + 1)])
+    pmf = np.array([math.exp(log_poisson_pmf(D, k)) for k in range(K + 1)])
     total = 0.0
     # chunk over the first cell's value to bound memory
     rest = np.indices((K + 1,) * (nc - 1)).reshape(nc - 1, (K + 1) ** (nc - 1)).T

@@ -113,7 +113,7 @@ def poisson_tail_bound(D: float, t: float, side: str) -> float:
     return math.exp(-rate_Y(t, D))
 
 
-def _log_pmf(k: int, D: float) -> float:
+def log_poisson_pmf(D: float, k: int) -> float:
     return -D + k * math.log(D) - math.lgamma(k + 1)
 
 
@@ -134,14 +134,14 @@ def exact_poisson_tail(D: float, t: float, side: str) -> float:
             return 0.0
         total = 0.0
         for k in range(kmax + 1):
-            total += math.exp(_log_pmf(k, D))
+            total += math.exp(log_poisson_pmf(D, k))
         return min(total, 1.0)
     # upper: P(X > t) = sum_{k > t} pmf
     k0 = math.floor(t) + 1
     total = 0.0
     k = k0
     while True:
-        term = math.exp(_log_pmf(k, D))
+        term = math.exp(log_poisson_pmf(D, k))
         total += term
         k += 1
         if k > D and term < 1e-16 * max(total, 1e-300):
@@ -160,7 +160,7 @@ def log_poisson_sf(D: float, t: float) -> float:
     mx = -math.inf
     k = k0
     while True:
-        lp = _log_pmf(k, D)
+        lp = log_poisson_pmf(D, k)
         terms.append(lp)
         mx = max(mx, lp)
         # terms decay once past the mode; stop when negligible vs the max
@@ -170,10 +170,6 @@ def log_poisson_sf(D: float, t: float) -> float:
         if len(terms) > 5_000_000:
             break
     return min(mx + math.log(sum(math.exp(x - mx) for x in terms)), 0.0)
-
-
-def log_poisson_pmf(D: float, k: int) -> float:
-    return _log_pmf(k, D)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +252,7 @@ def jensen_lower_bound(W, cfg: CellConfig, scales: DerivedScales) -> float:
     v = V_count(W, cfg, scales)
     h = h_frac(W, cfg.grid)
     if v == 0.0:
-        # limit of v log v etc. as v -> 0 is -0; the bound degenerates to 0... but
-        # keep the algebraic form: v * (...) with v = 0 gives 0 * inf; define as 0
+        # the bound tends to 0 with v (v log v -> 0), and math.log(0) would raise
         return 0.0
     return v * (math.log(scales.q / scales.w) + math.log(v) - math.log(h) - 1.0)
 

@@ -328,6 +328,36 @@ def test_certify_thm1_null_sample_fails_clause_a():
     assert not rep.clause_a_pass_SA  # nothing near sqrt(2 mu) points anywhere
 
 
+def test_certify_thm1_json_lists_every_field():
+    params = params_for_p_hat(2000.0, 1.0, Norm("l2", 2))
+    planted = planted_continuum_sampler(params, delta=1.0, seed=23)
+    null = sample_ppp(params.n, params.norm, seed=29)
+    for ps in (planted, null):
+        rep = certify_thm1(ps, params, delta=1.0, eps=0.25)
+        want = json.dumps(
+            {
+                "schema": "thm1_report.v1",
+                "center": list(rep.center),
+                "r": rep.r,
+                "delta": rep.delta,
+                "eps": rep.eps,
+                "target": rep.target,
+                "count_A": rep.count_A,
+                "clause_a_margin_SA": rep.clause_a_margin_SA,
+                "clause_a_pass_SA": rep.clause_a_pass_SA,
+                "clause_a_worst": rep.clause_a_worst,
+                "clause_a_worst_probe": rep.clause_a_worst_probe,
+                "clause_a_pass": rep.clause_a_pass,
+                "clause_b_worst": rep.clause_b_worst,
+                "clause_b_pass": rep.clause_b_pass,
+                "n_probes_a": rep.n_probes_a,
+                "n_probes_b": rep.n_probes_b,
+            },
+            sort_keys=True,
+        )
+        assert rep.to_json() == want
+
+
 def _densest_ball_center_loop(ps, params, s=5):
     """Reference: clique-window argmax, then the first of the 5^d refined balls
     with the most points, each counted with count_in_probe."""

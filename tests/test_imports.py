@@ -1,8 +1,10 @@
 """Every module-level import in the package is used in its module, every
-`RunConfig` field is read by the CLI, no function imports from the package
-itself, and importing the CLI does not load scipy.spatial."""
+`RunConfig` field is read by the CLI, the grid, clique and sample types store
+no derived fields, no function imports from the package itself, and importing
+the CLI does not load scipy.spatial."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import rggloc
+from rggloc.grid import CliqueResult, GridModel
+from rggloc.sampling import WeightedSample
 
 MODULES = sorted(
     p for p in Path(rggloc.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -61,6 +65,20 @@ def test_unread_field_check_sees_unread_fields():
 
 def test_every_run_config_field_is_read_by_the_cli():
     assert _unread_fields((Path(rggloc.__file__).parent / "cli.py").read_text(), "RunConfig") == []
+
+
+@pytest.mark.parametrize(
+    "cls, names",
+    [
+        (GridModel, ("s", "m", "n", "r", "norm", "clique_offsets")),
+        (CliqueResult, ("members",)),
+        (WeightedSample, ("config", "log_weight", "anchor")),
+    ],
+    ids=["GridModel", "CliqueResult", "WeightedSample"],
+)
+def test_derived_values_are_not_stored_fields(cls, names):
+    # D, nbhd_size, tau_s, size, exact and component are derived, not stored
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
 
 
 def _function_local_package_imports(source: str) -> list:
