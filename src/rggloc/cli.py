@@ -198,6 +198,16 @@ def _svg_histogram(values, title: str, path: Path, bins: int = 30):
     path.write_text("\n".join(parts))
 
 
+def _top_cells(counts: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices of the k largest counts, by count descending with ties to
+    the lower flat index (extract_T's rule); only cells at or above the k-th
+    largest count are sorted."""
+    k = min(k, counts.size)
+    kth = np.partition(counts, counts.size - k)[counts.size - k]
+    above = np.flatnonzero(counts >= kth)
+    return above[np.argsort(-counts[above], kind="stable")[:k]]
+
+
 def _svg_heatmap(cfg_counts, grid, highlight, title: str, path: Path):
     """Cell-count heatmap (d=2) or top-cell strip (other d), highlight outlined."""
     W, H, pad = 640, 640, 40
@@ -227,7 +237,7 @@ def _svg_heatmap(cfg_counts, grid, highlight, title: str, path: Path):
                 f'stroke="red" stroke-width="1.5"/>'
             )
     else:
-        order = np.argsort(cfg_counts)[::-1][:50]
+        order = _top_cells(cfg_counts, 50)
         top = max(1, int(cfg_counts[order[0]]))
         bw = (W - 2 * pad) / len(order)
         hl = _mask(highlight, grid)

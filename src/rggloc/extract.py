@@ -114,8 +114,7 @@ def certify_thm2(
     ratio = grid.tau_s / scales.q
     in_mask = np.zeros(grid.num_cells, dtype=bool)
     in_mask[frakP] = True
-    outside = cfg.counts[~in_mask]
-    dev_out = float(outside.max() * ratio) if outside.size else 0.0
+    dev_out = float(cfg.counts.max(where=~in_mask, initial=0) * ratio)
     if card:
         diam = set_diameter(np.stack(np.unravel_index(frakP, grid.shape), 1), grid)
         dev_in = float(np.abs(cfg.counts[frakP] * ratio - 1.0).max())

@@ -56,7 +56,9 @@ for a ball, a box or a ball∩box; the outer and inner hulls are its two masks.
 The inscribed ball tries a sub-grid of centers in the member cells against
 only the non-member cells of the set's 3^d neighborhood, with per-axis gaps
 on the circle of m cells: the complement point nearest a center lies on the
-union's boundary, so this is exact.
+union's boundary, so this is exact.  Since that distance is 1-Lipschitz, a
+cell's middle bounds all its centers, and only cells whose bound can beat
+the best center found so far are scored.
 """
 
 from __future__ import annotations
@@ -682,6 +684,14 @@ def inscribed_ball_diameter(members, grid: GridModel) -> float:
     distance to the complement is its distance to the nearest non-member cell
     of the set's 3^d neighborhood (the nearest complement point lies on the
     union's boundary), with per-axis gaps measured on the circle of m cells.
+
+    That distance is 1-Lipschitz in the norm (per-axis gaps are 1-Lipschitz,
+    and the norm is monotone and obeys the triangle inequality), so no center
+    of a cell lies farther from the complement than the cell's middle does
+    plus the norm of ((R-1)/(2R), ...), R = _REFINE.  Cells are scored in
+    decreasing order of that bound (plus a 1e-9 float margin), and the scan
+    stops at the first cell whose bound cannot beat the best center so far:
+    the result is the maximum over every center, exactly as a full scan.
     """
     m = grid.m
     d = grid.norm.dim
@@ -694,19 +704,34 @@ def inscribed_ball_diameter(members, grid: GridModel) -> float:
     if not len(ring):
         raise ValueError("the member cells cover the torus")
     ring = np.stack(np.unravel_index(ring, grid.shape), axis=-1)
-    # candidate centers: _REFINE^d per member cell, in cell units
-    shifts = (_lattice(0, _REFINE, d) + 0.5) / _REFINE
-    centers = (cells[:, None, :] + shifts).reshape(-1, d)
-    # a per-axis gap takes few distinct values: tabulate them, then gather
-    cv, ci = np.unique(centers, return_inverse=True)
+    # per-axis gap table, in cell units: [cell coordinate, position in the
+    # cell, ring coordinate], with positions the _REFINE sub-grid offsets and
+    # then the middle
+    cv, ci = np.unique(cells, return_inverse=True)
     rv, ri = np.unique(ring, return_inverse=True)
-    table = _interval_dists(cv[:, None], rv, 1.0, period=m)[0]
-    ci, ri = ci.reshape(centers.shape), ri.reshape(ring.shape)
-    best = 0.0
+    frac = np.append((np.arange(_REFINE) + 0.5) / _REFINE, 0.5)
+    table = _interval_dists((cv[:, None] + frac)[..., None], rv, 1.0, period=m)[0]
+    ci, ri = ci.reshape(cells.shape), ri.reshape(ring.shape)
     chunk = max(1, 2**16 // len(ring))
-    for i in range(0, len(centers), chunk):
-        gap = table[ci[i : i + chunk, None, :], ri]
-        best = max(best, float(grid.norm.length(gap).min(axis=1).max()))
+
+    def dist(w, pos):
+        """Distance to the ring of position `pos` ((k, 1, d) or scalar) in cells `w`."""
+        return grid.norm.length(table[ci[w, None, :], pos, ri]).min(axis=1)
+
+    middles = [dist(slice(i, i + chunk), _REFINE) for i in range(0, len(cells), chunk)]
+    slack = float(grid.norm.length(np.full(d, (_REFINE - 1) / (2 * _REFINE))))
+    bound = np.concatenate(middles) + slack + 1e-9
+    order = np.argsort(-bound, kind="stable")
+    # the centers of the cells in `order`, at most one cell's worth at a time
+    sub = _lattice(0, _REFINE, d)[:, None, :]
+    per, total = len(sub), len(cells) * len(sub)
+    step = min(chunk, per)
+    best = 0.0
+    for i in range(0, total, step):
+        if bound[order[i // per]] <= best:
+            break
+        t = np.arange(i, min(i + step, total))
+        best = max(best, float(dist(order[t // per], sub[t % per]).max()))
     return 2.0 * best / m
 
 
@@ -726,9 +751,11 @@ def dump_config_csv(cfg: CellConfig) -> str:
 
 def load_config_csv(text: str, grid: GridModel) -> CellConfig:
     """Inverse of `dump_config_csv`; the first line is a header, blank lines
-    and CR/CRLF line ends are accepted, and an index outside the grid raises."""
+    and CR/CRLF line ends are accepted, and a token that is not an integer or
+    an index outside the grid raises."""
     body = text.strip().replace("\r", "\n").partition("\n")[2]
-    rows = np.array(body.replace(",", " ").split(), dtype=np.int64).reshape(-1, grid.norm.dim + 1)
+    flat = np.fromstring(body.replace(",", " "), dtype=np.int64, sep=" ")
+    rows = flat.reshape(-1, grid.norm.dim + 1)
     counts = np.zeros(grid.num_cells, dtype=np.int64)
     counts[np.ravel_multi_index(rows[:, :-1].T, grid.shape)] = rows[:, -1]
     return CellConfig(counts, grid)

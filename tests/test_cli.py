@@ -1,14 +1,25 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rggloc
-from rggloc import build_grid, certify_thm2, derived_scales, localization_profile, rejection_conditional
-from rggloc.cli import load_config, main
+from rggloc import (
+    ModelParams,
+    Norm,
+    build_grid,
+    certify_thm2,
+    derived_scales,
+    localization_profile,
+    rejection_conditional,
+    sample_cell_config,
+)
+from rggloc.cli import _svg_heatmap, _top_cells, load_config, main
 from rggloc.grid import dump_config_csv, load_config_csv
 
 
@@ -78,6 +89,25 @@ def test_condition_defaults_to_planted(tmp_path):
     assert main(["condition", "--config", str(cfg)]) == 0
     doc = json.loads((tmp_path / "out" / "profiles.json").read_text())
     assert doc["summary"]["method"] == "planted"
+
+
+def test_heatmap_strip_breaks_count_ties_by_lower_index(tmp_path):
+    # off the d=2 heatmap, extract draws the 50 largest cells as bars, in
+    # extract_T's order: count descending, ties to the lower flat index
+    grid = build_grid(ModelParams(1e4, 1e-3, Norm("linf", 1)), 3)
+    counts = sample_cell_config(grid, seed=7).counts
+    rank = np.lexsort((np.arange(counts.size), -counts))
+    assert counts[rank[49]] == counts[rank[50]]  # the 50th place is a tie
+    assert np.array_equal(_top_cells(counts, 50), rank[:50])
+    # even cells are outlined red, so the bar colors spell out which tied
+    # cells were drawn and in what order
+    svg = tmp_path / "strip.svg"
+    _svg_heatmap(counts, grid, [(i,) for i in range(0, grid.m, 2)], "top", svg)
+    bars = re.findall(r'height="([0-9.]+)" fill="(red|#4878a8)"', svg.read_text())
+    top = counts[rank[0]]  # the tallest bar spans the 640 - 2 * 40 px plot
+    assert bars == [
+        (f"{560 * counts[f] / top:.2f}", "red" if f % 2 == 0 else "#4878a8") for f in rank[:50]
+    ]
 
 
 def test_extract_from_stored_samples(tmp_path):

@@ -679,6 +679,27 @@ def test_inscribed_ball_matches_window_reference(l2_grid):
 
 
 @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_inscribed_ball_pruning_matches_reference_on_irregular_sets(kind, dim):
+    # the scan skips cells whose middle-plus-slack bound cannot beat the best
+    # center so far.  In a blob with holes a cell's best center can sit far
+    # from its middle, which near-convex clique translates never show: the L1
+    # and L2 blobs at d = 2, 3 fail if the slack is left out of the bound, and
+    # the L2 blob at d = 2 fails with half of it
+    g = build_grid(ModelParams(200.0, {1: 0.0749, 2: 0.107, 3: 0.166}[dim], Norm(kind, dim)), 3)
+    shape, p, seed = {1: ((12,), 0.7, 0), 2: ((7, 7), 0.7, 0), 3: ((3, 2, 2), 0.7, 5)}[dim]
+    window = np.array(list(itertools.product(*map(range, shape))))
+    sets = [window[np.random.default_rng(seed).random(len(window)) < p]]
+    # thin strips, one and two cells wide
+    line = np.zeros((shape[0], dim), dtype=np.int64)
+    line[:, 0] = np.arange(len(line))
+    sets += [line] if dim != 2 else [line, np.concatenate([line, line + (0, 1)])]
+    for rows in sets:
+        W = [tuple(int(c) for c in I) for I in (rows - 1) % g.m]  # across every seam
+        assert inscribed_ball_diameter(W, g) == _ref_inscribed(W, g)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
 @pytest.mark.parametrize("s,r", [(3, 0.33), (4, 0.33), (3, 0.25)])
 def test_inscribed_ball_on_coarse_grids(kind, s, r):
     # m = 9, 12, 12: the margin window of the old scan reached m here, and its
@@ -744,7 +765,10 @@ def test_config_csv_matches_per_row_writer_and_round_trips(dim, r):
 
 
 def test_config_csv_rejects_rows_off_the_grid(l2_grid):
-    for bad in ("i0,i1,count\n50,0,3\n", "i0,i1,count\n0,3\n", "i0,i1,count\n0,x,3\n"):
+    # the last has whole rows before its bad token, so a parser that stops
+    # there would load a valid-looking prefix
+    bad_rows = ("50,0,3\n", "0,3\n", "0,x,3\n", "0,1,3\nx,1,1\n")
+    for bad in ("i0,i1,count\n" + rows for rows in bad_rows):
         with pytest.raises(ValueError):
             load_config_csv(bad, l2_grid)
 
