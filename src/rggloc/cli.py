@@ -10,7 +10,8 @@ results as CSV/JSON plus self-contained SVG plots, and finish by writing
 fixed config and seed, all outputs except the manifest timestamp are
 byte-identical across runs.
 
-Exit codes: 0 ok, 1 verification failure, 2 config error, 3 budget exhausted.
+Exit codes: 0 ok, 1 verification failure, 2 config error, 3 budget exhausted,
+4 overflow (a count too large to sum exactly).
 """
 
 from __future__ import annotations
@@ -549,6 +550,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except OverflowError as e:
+        print(f"overflow: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

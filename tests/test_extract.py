@@ -25,11 +25,14 @@ from rggloc import (
     localization_profile,
     params_for_p_hat,
     planted_cell_sampler,
+    PointSet,
     planted_continuum_sampler,
     sample_cell_config,
     sample_ppp,
 )
-from rggloc.extract import _densest_ball_center, _index_tuples
+from rggloc import geometry
+from rggloc.extract import Thm1Report, _clause_a_probes, _densest_ball_center, _index_tuples
+from rggloc.geometry import probe_measure, torus_distance, wrapped_delta
 from rggloc.grid import CellConfig, clique_translate, flat_index, set_diameter, unflat_index
 from rggloc.stats import Q_internal
 
@@ -388,3 +391,53 @@ def test_densest_ball_center_matches_first_maximum_loop(kind):
                 sample_ppp(params.n, params.norm, seed=37, replica=k),
             ):
                 assert _densest_ball_center(ps, params) == _densest_ball_center_loop(ps, params)
+
+
+def _certify_thm1_reference(ps, params, delta, eps, s=5):
+    """certify_thm1 by definition: the loop's centre, then A and each clause-(a)
+    probe counted with count_in_probe over all points, and every one of the
+    kgrid^d tile balls whose centre is more than r from A's likewise."""
+    r, norm, tau = params.r, params.norm, params.tau
+    center = _densest_ball_center_loop(ps, params, s)
+    target = math.sqrt(2.0 * delta * params.mu)
+    A = Ball(center=center, radius=r / 2.0, norm=norm)
+    count_A = count_in_probe(ps, A)
+    probes = [(name, S) for name, S, _ in _clause_a_probes(A, eps, tau)]
+    worst_a, worst_name = -1.0, ""
+    for name, S in probes:
+        margin = abs(count_in_probe(ps, S) / target - probe_measure(S) / tau)
+        if margin > worst_a:
+            worst_a, worst_name = margin, name
+    kgrid = int(math.floor(2.0 / r))
+    kept = [
+        c
+        for idx in itertools.product(range(kgrid), repeat=norm.dim)
+        if torus_distance(c := (np.array(idx) + 0.5) * (1.0 / kgrid), np.array(center), norm) > r
+    ]
+    worst_b = max((count_in_probe(ps, Ball(tuple(c), r / 2.0, norm)) for c in kept), default=0) / target
+    margin_sa = abs(count_A / target - 1.0)
+    return Thm1Report(
+        center=tuple(float(c) for c in center), r=r, delta=delta, eps=eps, target=target,
+        count_A=count_A, clause_a_margin_SA=margin_sa, clause_a_pass_SA=margin_sa < eps,
+        clause_a_worst=worst_a, clause_a_worst_probe=worst_name, clause_a_pass=worst_a < eps,
+        clause_b_worst=float(worst_b), clause_b_pass=worst_b < eps,
+        n_probes_a=len(probes), n_probes_b=len(kept),
+    )
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_certify_thm1_matches_definitional_counts(kind, monkeypatch):
+    # the counts are under test, not the ball∩box quadrature, which at L1 d=3
+    # takes seconds a call: both sides get the same stand-in measure
+    monkeypatch.setattr(geometry, "_ball_box_measure", lambda S: 0.5 * math.prod(S.box.sides))
+    for dim in (1, 2, 3):
+        params = params_for_p_hat(300.0, 1.0, Norm(kind, dim))
+        planted = planted_continuum_sampler(params, delta=1.0, seed=47, replica=dim)
+        # the planted ball moved from (1/2, ...) onto the seam at the origin
+        seam = PointSet((planted.points + 0.5) % 1.0, planted.intensity, planted.seed)
+        null = sample_ppp(params.n, params.norm, seed=53, replica=dim)
+        reps = [certify_thm1(ps, params, delta=1.0, eps=0.25) for ps in (planted, seam, null)]
+        for ps, rep in zip((planted, seam, null), reps):
+            assert rep == _certify_thm1_reference(ps, params, delta=1.0, eps=0.25)
+        # A straddles the seam on every axis
+        assert (wrapped_delta(reps[1].center, 0.0) < params.r / 2.0).all()

@@ -773,6 +773,24 @@ def test_config_csv_rejects_rows_off_the_grid(l2_grid):
             load_config_csv(bad, l2_grid)
 
 
+def test_config_csv_rejects_a_repeated_cell(l2_grid):
+    # a later row would otherwise overwrite the earlier one
+    with pytest.raises(ValueError, match="more than one row"):
+        load_config_csv("i0,i1,count\n0,1,3\n2,2,1\n0,1,5\n", l2_grid)
+
+
+def test_config_csv_rejects_a_token_count_off_the_rows(l2_grid):
+    # six tokens on one line would reshape into two valid-looking rows
+    with pytest.raises(ValueError, match="1 rows need 3 integers, got 6"):
+        load_config_csv("i0,i1,count\n0,1,3,4,5,6\n", l2_grid)
+
+
+def test_config_csv_rejects_a_count_past_int64(l2_grid):
+    # the parser clamps it to 2^63 - 1
+    with pytest.raises(ValueError, match="int64"):
+        load_config_csv(f"i0,i1,count\n0,1,{10**20}\n", l2_grid)
+
+
 def test_mu_s_dominates_mu_across_settings():
     # discretization only adds pairs, so mu <= mu_s; and cells tile tau_s
     for kind, d in (("l2", 2), ("linf", 2), ("l1", 2), ("linf", 1)):

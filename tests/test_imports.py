@@ -1,7 +1,7 @@
 """Every module-level import in the package is used in its module, every
 `RunConfig` field is read by the CLI, the grid, clique and sample types store
-no derived fields, no function imports from the package itself, and importing
-the CLI does not load scipy.spatial."""
+no derived fields, no function imports from the package itself, and neither
+importing the CLI nor certifying a continuum sample loads scipy.spatial."""
 
 import ast
 import dataclasses
@@ -104,6 +104,13 @@ def test_no_function_local_package_imports(path):
     assert _function_local_package_imports(path.read_text()) == []
 
 
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(rggloc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_cli_import_leaves_scipy_spatial_unloaded():
     # lattice-only subcommands never build a kd-tree, so they should not pay
     # for importing scipy.spatial; the first edge count loads it
@@ -117,7 +124,19 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
         "assert edge_count(ps, 0.1, norm) == edge_count_bruteforce(ps, 0.1, norm) > 0",
         "assert 'scipy.spatial' in sys.modules",
     ])
-    src = str(Path(rggloc.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_certify_thm1_leaves_scipy_spatial_unloaded():
+    # the continuum certificate counts points without a kd-tree
+    code = "\n".join([
+        "import sys",
+        "from rggloc import Norm, certify_thm1, params_for_p_hat, planted_continuum_sampler",
+        "params = params_for_p_hat(2000.0, 1.0, Norm('l2', 2))",
+        "ps = planted_continuum_sampler(params, delta=1.0, seed=23)",
+        "assert certify_thm1(ps, params, delta=1.0, eps=0.25).clause_a_pass_SA",
+        "assert 'scipy.spatial' not in sys.modules",
+    ])
+    proc = _run_fresh(code)
     assert proc.returncode == 0, proc.stderr

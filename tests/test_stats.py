@@ -186,6 +186,19 @@ def test_pair_sums_of_an_empty_set_skip_the_offsets(l2_grid, l2_scales, monkeypa
     assert Q_cross([], clique_translate(l2_grid, cfg.anchor), cfg.config, l2_scales) == 0.0
 
 
+def test_pair_sums_refuse_int64_overflow(l2_grid):
+    # one cell's pair count is exact at 2^30 points; at 2^31 the partial-sum
+    # bound sum(X_W) (max X_W + ...) reaches 2^62
+    counts = np.zeros(l2_grid.num_cells, dtype=np.int64)
+    mask = np.zeros(l2_grid.num_cells, dtype=bool)
+    mask[7] = True
+    counts[7] = 2**30
+    assert _pair_sums(CellConfig(counts, l2_grid), mask, mask) == (2**30 * (2**30 - 1) // 2, 0)
+    counts[7] = 2**31
+    with pytest.raises(OverflowError):
+        _pair_sums(CellConfig(counts, l2_grid), mask, mask)
+
+
 @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
 def test_pair_sums_match_dense_rolls_on_wrapped_tiny_grids(kind):
     # m = 4..7 < 2s+3, where an offset o can equal -o mod m
