@@ -17,6 +17,8 @@ import numpy as np
 
 _KINDS = ("l1", "l2", "linf")
 MAX_DIM = 4
+# most grid centres one ball-box quadrature round may build: 2048^2 at d = 2
+_MESH_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,9 @@ def _ball_box_measure(S: BallBoxIntersection, rel_tol: float = 1e-4) -> float:
     Dyadically refines a grid over the box; cells entirely inside the
     intersection give a lower bound, cells merely touching give an upper
     bound.  Refinement stops once the bracket width is <= rel_tol * tau
-    where tau is the ball volume; the midpoint is returned.
+    where tau is the ball volume, or before a mesh of more than
+    _MESH_CAP centres would be built; the last bracket's midpoint is
+    returned.
     """
     ball, box = S.ball, S.box
     d = ball.norm.dim
@@ -151,6 +155,8 @@ def _ball_box_measure(S: BallBoxIntersection, rel_tol: float = 1e-4) -> float:
     # grid resolution doubles each round; start coarse
     for k in range(3, 12):
         npc = 1 << k  # cells per axis
+        if npc**d > _MESH_CAP:
+            break
         step = sides / npc
         axes = [corner[i] + (np.arange(npc) + 0.5) * step[i] for i in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -160,8 +166,8 @@ def _ball_box_measure(S: BallBoxIntersection, rel_tol: float = 1e-4) -> float:
         cell_vol = float(np.prod(step))
         lower = float((dist <= ball.radius - half).sum()) * cell_vol
         upper = float((dist <= ball.radius + half).sum()) * cell_vol
-        if upper - lower <= rel_tol * tau or centers.shape[0] > 4_000_000:
-            return 0.5 * (lower + upper)
+        if upper - lower <= rel_tol * tau:
+            break
     return 0.5 * (lower + upper)
 
 

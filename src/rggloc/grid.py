@@ -749,26 +749,51 @@ def dump_config_csv(cfg: CellConfig) -> str:
     return header + (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def _count_rows(body: str) -> int:
-    """The lines of `body` with a character other than a blank: once the
-    blanks are deleted, a row starts at each newline not followed by another."""
-    nl = np.frombuffer(b"\n" + body.encode().translate(None, b" \t\v\f"), dtype=np.uint8) == 10
-    return int(np.count_nonzero(nl[:-1] > nl[1:]))
+_NOT_SEPARATOR = bytes(c for c in range(256) if c not in b",\n")
+
+
+def _row_layout(body: str, width: int) -> tuple:
+    """(rows, every row holds width fields) for the lines of `body` with a
+    character other than a blank.  Once the blanks are deleted, a row starts
+    at each newline not followed by another, and a field is empty where a
+    comma meets a comma or a line end.  Once all but commas and newlines are
+    deleted too, and the newlines of blank lines merged, a body of rows of
+    width fields reads `rows` copies of width - 1 commas and a newline."""
+    raw = body.encode()
+    if any(c in raw for c in (b" ", b"\t", b"\v", b"\f")):
+        raw = raw.translate(None, b" \t\v\f")
+    raw = b"\n" + raw + b"\n"
+    b = np.frombuffer(raw, dtype=np.uint8)
+    nl = b == 10
+    sep = nl | (b == 44)
+    rows = int(np.count_nonzero(nl[:-1] > nl[1:]))
+    # two separators in a row are a blank line or an empty field
+    empty = np.count_nonzero(sep[:-1] & sep[1:]) > np.count_nonzero(nl[:-1] & nl[1:])
+    seps = raw.translate(None, _NOT_SEPARATOR)
+    want = b"\n" + (b"," * (width - 1) + b"\n") * rows
+    while seps != want and b"\n\n" in seps:
+        seps = seps.replace(b"\n\n", b"\n")
+    return rows, seps == want and not empty
 
 
 def load_config_csv(text: str, grid: GridModel) -> CellConfig:
     """Inverse of `dump_config_csv`; the first line is a header, blank lines
-    and CR/CRLF line ends are accepted.  It raises ValueError on a token that
-    is not an integer, a token count other than rows * (d + 1), an index
-    outside the grid, a cell given on two rows, and a value past int64, which
-    the parser clamps to 2^63 - 1.  The token count is checked after the
-    parse, so a parser that stops early at a bad token is caught too."""
+    and CR/CRLF line ends are accepted.  It raises ValueError on a row without
+    exactly d + 1 comma-separated fields, a token that is not an integer, a
+    token count other than rows * (d + 1), an index outside the grid, a cell
+    given on two rows, and a value past int64, which the parser clamps to
+    2^63 - 1.  The token count is checked after the parse, so a parser that
+    stops early at a bad token is caught too."""
     body = text.strip().replace("\r", "\n").partition("\n")[2]
     flat = np.fromstring(body.replace(",", " "), dtype=np.int64, sep=" ")
     width = grid.norm.dim + 1
-    nrows = _count_rows(body)
+    nrows, widths_ok = _row_layout(body, width)
     if flat.size != nrows * width:
         raise ValueError(f"{nrows} rows need {nrows * width} integers, got {flat.size}")
+    # rows of compensating widths, or an empty field beside a split one,
+    # pass that total
+    if not widths_ok:
+        raise ValueError(f"a row does not hold {width} comma-separated fields")
     if (flat == np.iinfo(np.int64).max).any():
         raise ValueError("a value does not fit in int64")
     rows = flat.reshape(-1, width)

@@ -1,15 +1,18 @@
 """Poisson point process sampling and continuum edge counting.
 
 The random geometric graph puts an edge between every unordered pair of
-points at torus distance <= r.  `edge_count` finds them with a fixed-radius
-near-neighbor search on a periodic kd-tree and re-checks every candidate pair
-with `torus_distance`; `edge_count_bruteforce` is the definitional O(N^2)
-oracle and the two must agree exactly.
+points at torus distance <= r.  `edge_count` finds them with a cell list:
+the points are sorted into k^d cells of side > r, so each neighbour lies in
+an adjacent cell, and every candidate pair from half of the 3^d stencil is
+re-checked with `torus_distance`.  `edge_count_bruteforce` is the
+definitional O(N^2) oracle and the two must agree exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -126,40 +129,146 @@ def edge_count_bruteforce(ps: PointSet, r: float, norm: Norm) -> int:
     return total
 
 
-_MINKOWSKI_P = {"l1": 1, "l2": 2, "linf": np.inf}
+# candidate pairs checked at once, and (point, offset) table entries built at
+# once: memory per block stays fixed however dense the cells are
+_PAIR_BLOCK = 1 << 18
+_TABLE_BLOCK = 1 << 14
 
 
-def _periodic_tree(x: np.ndarray):
-    """A periodic cKDTree of the points wrapped into [0, 1)^d."""
-    # imported here so that lattice-only runs never load scipy.spatial
-    from scipy.spatial import cKDTree
+def _cells_per_axis(r: float, n: int, d: int) -> int:
+    """Cells per axis k: side 1/k > r(1 + 1e-9), and at most 4n cells in all.
 
-    # cKDTree(boxsize=1) rejects a coordinate of 1.0, which `% 1.0` returns
-    # for tiny negative inputs such as -1e-17
-    w = x % 1.0
-    w[w == 1.0] = 0.0
-    return cKDTree(w, boxsize=1.0)
-
-
-def close_pairs(a: np.ndarray, radius: float, norm: Norm) -> np.ndarray:
-    """The unordered index pairs i < j with torus_distance(a[i], a[j], norm) <= radius.
-
-    The periodic kd-tree proposes candidates at a radius inflated by 1e-12
-    (relative), and each candidate is re-checked with `torus_distance` on the
-    caller's own coordinates, so the result is exactly the definitional scan
-    for coordinates in [0, 1].  Returns an (M, 2) int64 array in no fixed order.
+    The 2^-40 term keeps two points within r in adjacent cells however
+    x * k rounds, at any k; the 4n cap keeps memory linear in n, not r^-d.
     """
-    reach = radius * (1.0 + 1e-12)
-    pairs = _periodic_tree(a).query_pairs(reach, p=_MINKOWSKI_P[norm.kind], output_type="ndarray")
-    keep = torus_distance(a[pairs[:, 0]], a[pairs[:, 1]], norm) <= radius
-    return pairs[keep]
+    k = int(1.0 / (r * (1.0 + 1e-9) + 2.0**-40))
+    k = min(k, int((4 * n) ** (1.0 / d)) + 1)
+    while k**d > 4 * n:
+        k -= 1
+    return k
+
+
+@functools.lru_cache(maxsize=None)
+def _half_stencil(d: int, k: int) -> tuple:
+    """One offset of each pair {o, -o} of {-1, 0, 1}^d taken mod k (k <= 3).
+
+    Returns the offsets as a (h, d) array and the indices of those with
+    o = -o mod k: the same cell, and every offset on grids of 1 or 2 cells
+    per axis.  Both arrays are read-only, since every caller shares them.
+    """
+    offsets, self_inverse, seen = [], [], set()
+    for o in itertools.product((-1, 0, 1), repeat=d):
+        mod = tuple(v % k for v in o)
+        neg = tuple(-v % k for v in o)
+        if mod in seen or neg in seen:
+            continue
+        seen.add(mod)
+        self_inverse.append(mod == neg)
+        offsets.append(o)
+    out = (np.array(offsets, dtype=np.int64), np.flatnonzero(self_inverse))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _close_count(xs: np.ndarray, cols: list, i: np.ndarray, j: np.ndarray, r: float, norm: Norm) -> int:
+    """How many of the candidate pairs (xs[i], xs[j]) lie within torus distance r.
+
+    Axis by axis, the wrapped gaps drop every pair whose partial length
+    (largest gap, sum of gaps, or sum of squared gaps) already exceeds r,
+    inflated by 1e-12 so rounding never drops a pair at distance <= r.  The
+    survivors go through the same `torus_distance <= r` test as the brute
+    force, so the count is exact.
+    """
+    reach = r * (1.0 + 1e-12)
+    if norm.kind == "l2":
+        reach *= reach
+    partial = None
+    for col in cols:
+        gap = col.take(i)
+        gap -= col.take(j)
+        np.abs(gap, out=gap)
+        np.minimum(gap, 1.0 - gap, out=gap)
+        if norm.kind == "l2":
+            gap *= gap
+        if partial is not None and norm.kind != "linf":
+            gap += partial
+        near = np.flatnonzero(gap <= reach)
+        i, j, partial = i.take(near), j.take(near), gap.take(near)
+    return int(np.count_nonzero(torus_distance(xs[i], xs[j], norm) <= r))
 
 
 def edge_count(ps: PointSet, r: float, norm: Norm) -> int:
-    """|E| via periodic kd-tree candidates; bit-identical to the brute force."""
+    """|E| from a cell list on the torus; equal to the brute force.
+
+    For coordinates in [0, 1]: a pair within r lies in the same or adjacent
+    cells, so half of the 3^d stencil lists it once, and every listed pair is
+    decided by the brute force's own test.
+    """
     if not (0.0 < r < 0.5):
         raise ValueError("need 0 < r < 1/2")
-    return len(close_pairs(ps.points, r, norm))
+    x = ps.points
+    n, d = x.shape
+    if n < 2:
+        return 0
+    k = _cells_per_axis(r, n, d)
+    # sort by flat cell; cell * n + index are distinct, so one plain sort of
+    # them is a stable sort by cell
+    key = np.zeros(n, dtype=np.int64)
+    for a in range(d):
+        key *= k
+        key += np.floor(x[:, a] * k).astype(np.int64) % k
+    key *= n
+    key += np.arange(n)
+    key.sort()
+    cell, order = np.divmod(key, n)
+    del key
+    xs = x[order]
+    del order
+    cols = [np.ascontiguousarray(xs[:, a]) for a in range(d)]
+    starts = np.zeros(k**d + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell, minlength=k**d), out=starts[1:])
+
+    offsets, self_inverse = _half_stencil(d, min(k, 3))
+    strides = k ** np.arange(d - 1, -1, -1)
+    shift = offsets @ strides
+    h = len(offsets)
+    step = max(1, _TABLE_BLOCK // h)
+    total = 0
+    for p0 in range(0, n, step):
+        here = cell[p0 : p0 + step]
+        target = here[:, None] + shift
+        # an offset that leaves the grid on axis a wraps around by k cells
+        rest = here
+        for a in range(d - 1, -1, -1):
+            rest, c = np.divmod(rest, k)
+            wrap = k * int(strides[a])
+            for edge, o, fix in ((0, -1, wrap), (k - 1, 1, -wrap)):
+                rows = np.flatnonzero(c == edge)
+                target[np.ix_(rows, np.flatnonzero(offsets[:, a] == o))] += fix
+        lo = starts[target]
+        count = starts[target + 1]
+        # a cell paired with itself, or reached from both sides, lists
+        # each pair twice: keep j > i only
+        after = np.arange(p0 + 1, p0 + len(here) + 1)[:, None]
+        lo[:, self_inverse] = np.maximum(lo[:, self_inverse], after)
+        count -= lo
+        np.maximum(count, 0, out=count)
+        lo, count = lo.ravel(), count.ravel()
+        end = np.cumsum(count)
+        begin = end - count
+        pairs = int(end[-1])
+        # pair q of entry t (begin[t] <= q < end[t]) joins point p0 + t // h
+        # to point lo[t] + q - begin[t]
+        for q0 in range(0, pairs, _PAIR_BLOCK):
+            q1 = min(q0 + _PAIR_BLOCK, pairs)
+            s = int(np.searchsorted(end, q0, side="right"))
+            e = int(np.searchsorted(end, q1 - 1, side="right")) + 1
+            c = np.minimum(end[s:e], q1) - np.maximum(begin[s:e], q0)
+            i = np.repeat(np.arange(s, e) // h + p0, c)
+            j = np.repeat(lo[s:e] - begin[s:e] + q0, c) + np.arange(q1 - q0)
+            total += _close_count(xs, cols, i, j, r, norm)
+    return total
 
 
 def count_in_probe(ps: PointSet, S: Probe) -> int:

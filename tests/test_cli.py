@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -71,6 +72,17 @@ def test_simulate_csv_and_svg(tmp_path):
     svg = (tmp_path / "out" / "edge_histogram.svg").read_text()
     assert svg.startswith("<svg")
     assert "</svg>" in svg
+
+
+def test_simulate_output_does_not_depend_on_the_thread_count(tmp_path, monkeypatch):
+    digests = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RGGLOC_THREADS", threads)
+        (tmp_path / threads).mkdir()
+        cfg = _write_config(tmp_path / threads)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        digests.append(hashlib.sha256((tmp_path / threads / "out" / "simulate.csv").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_condition_planted_profiles(tmp_path):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,21 @@ def test_certify_thm1_planted_continuum():
     assert rep.n_probes_b > 100
     doc = json.loads(rep.to_json())
     assert doc["schema"] == "thm1_report.v1"
+
+
+def test_certify_thm1_ball_box_quadrature_memory_is_capped():
+    # at L1 d=3 the ball∩box bracket is still open at 128^3 centres, and a
+    # 256^3 mesh would take the process near 2 GB
+    params = params_for_p_hat(300.0, 1.0, Norm("l1", 3))
+    ps = sample_ppp(params.n, params.norm, seed=53, replica=3)
+    tracemalloc.start()
+    try:
+        rep = certify_thm1(ps, params, delta=1.0, eps=0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.clause_a_pass_SA
+    assert peak < 512 * 2**20
 
 
 def test_certify_thm1_null_sample_fails_clause_a():

@@ -785,6 +785,14 @@ def test_config_csv_rejects_a_token_count_off_the_rows(l2_grid):
         load_config_csv("i0,i1,count\n0,1,3,4,5,6\n", l2_grid)
 
 
+def test_config_csv_rejects_rows_of_compensating_widths(l2_grid):
+    # 2 + 4 tokens, or 4 tokens in three fields beside an empty field, match
+    # the two rows' total of 2 * 3
+    for rows in ("0,1\n2,3,4,5\n", "0 1,2,3\n,4,5\n"):
+        with pytest.raises(ValueError, match="a row does not hold 3 comma-separated fields"):
+            load_config_csv("i0,i1,count\n" + rows, l2_grid)
+
+
 def test_config_csv_rejects_a_count_past_int64(l2_grid):
     # the parser clamps it to 2^63 - 1
     with pytest.raises(ValueError, match="int64"):

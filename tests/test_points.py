@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from rggloc import (
     sample_ppp,
 )
 from rggloc.geometry import torus_distance
-from rggloc.points import PointSet, close_pairs, dump_csv, load_csv
+from rggloc.points import PointSet, dump_csv, load_csv
 
 
 def test_mu_formula(l2_params):
@@ -103,7 +104,8 @@ def test_edge_count_memory_does_not_scale_with_radius():
 def test_close_pairs_matches_double_loop(kind):
     for dim in (1, 2, 3, 4):
         norm = Norm(kind, dim)
-        a = sample_ppp(40.0, norm, seed=3, replica=dim).points
+        ps = sample_ppp(40.0, norm, seed=3, replica=dim)
+        a = ps.points
         radius = 0.3
         within = {
             (i, j)
@@ -112,8 +114,35 @@ def test_close_pairs_matches_double_loop(kind):
             if torus_distance(a[i], a[j], norm) <= radius
         }
         assert within
-        got = {tuple(sorted(pair)) for pair in close_pairs(a, radius, norm).tolist()}
-        assert got == within
+        assert edge_count(ps, radius, norm) == len(within)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_edge_count_matches_bruteforce_at_every_size_and_radius(kind, dim):
+    # r = 0.3 gives 3 cells per axis and r >= 0.45 gives 2, where an offset
+    # and its negative reach the same cell; the 4N cell cap binds at N = 40
+    # in d >= 2 and leaves one cell at N <= 2 in d = 4
+    norm = Norm(kind, dim)
+    for size in (0, 1, 2, 40, 300):
+        ps = PointSet(np.random.default_rng([size, dim]).random((size, dim)), intensity=size, seed=0)
+        for r in (0.05, 0.11, 0.2, 0.3, 0.45, 0.49):
+            assert edge_count(ps, r, norm) == edge_count_bruteforce(ps, r, norm), (size, r)
+
+
+def test_edge_count_memory_is_blocked_on_dense_cells():
+    # at r = 0.49 every pair of 2000 points in d = 4 is a candidate (2 cells
+    # per axis); p_hat = 1.5 would need r = 0.509, past the r < 1/2 limit
+    norm = Norm("l1", 4)
+    ps = PointSet(np.random.default_rng(4).random((2000, 4)), intensity=2000.0, seed=0)
+    tracemalloc.start()
+    try:
+        edges = edge_count(ps, 0.49, norm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert edges == edge_count_bruteforce(ps, 0.49, norm)
 
 
 def test_edge_count_boundary_pair_is_closed():
