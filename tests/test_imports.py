@@ -112,21 +112,35 @@ def _run_fresh(code: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_cli_edge_count_and_certify_thm1_load_no_scipy():
-    # numpy is the only runtime dependency: the CLI, the continuum edge count
-    # and the continuum certificate run without importing any scipy module
+_NO_SCIPY = "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\nassert not loaded, loaded"
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # numpy is the only runtime dependency: neither importing the CLI nor a
+    # continuum edge count (a sorted cell list, no kd-tree) loads any scipy module
     code = "\n".join([
         "import sys",
         "import rggloc.cli",
-        "from rggloc import Norm, certify_thm1, edge_count, edge_count_bruteforce, params_for_p_hat,"
-        " planted_continuum_sampler",
+        "assert 'scipy.spatial' not in sys.modules, 'imported with rggloc.cli'",
+        "from rggloc import Norm, edge_count, edge_count_bruteforce, sample_ppp",
         "norm = Norm('l2', 2)",
-        "params = params_for_p_hat(2000.0, 1.0, norm)",
-        "ps = planted_continuum_sampler(params, delta=1.0, seed=23)",
+        "ps = sample_ppp(400.0, norm, seed=5)",
         "assert edge_count(ps, 0.1, norm) == edge_count_bruteforce(ps, 0.1, norm) > 0",
+        _NO_SCIPY,
+    ])
+    proc = _run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_certify_thm1_leaves_scipy_spatial_unloaded():
+    # the continuum certificate counts points without a kd-tree or any scipy module
+    code = "\n".join([
+        "import sys",
+        "from rggloc import Norm, certify_thm1, params_for_p_hat, planted_continuum_sampler",
+        "params = params_for_p_hat(2000.0, 1.0, Norm('l2', 2))",
+        "ps = planted_continuum_sampler(params, delta=1.0, seed=23)",
         "assert certify_thm1(ps, params, delta=1.0, eps=0.25).clause_a_pass_SA",
-        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
-        "assert not loaded, loaded",
+        _NO_SCIPY,
     ])
     proc = _run_fresh(code)
     assert proc.returncode == 0, proc.stderr
