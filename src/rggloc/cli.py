@@ -75,6 +75,13 @@ def _threads() -> int:
         return 1
 
 
+def _section(raw: dict, key: str) -> dict:
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} is not a JSON object")
+    return section
+
+
 def load_config(path: str, seed=None, out=None) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -84,7 +91,9 @@ def load_config(path: str, seed=None, out=None) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not raw:
         raise ConfigError("empty config")
-    model = raw.get("model", {})
+    if not isinstance(raw, dict):
+        raise ConfigError("config is not a JSON object")
+    model = _section(raw, "model")
     for key in ("n", "d", "norm"):
         if key not in model:
             raise ConfigError(f"model.{key} is required")
@@ -98,11 +107,11 @@ def load_config(path: str, seed=None, out=None) -> RunConfig:
         params = ModelParams(float(model["n"]), float(model["r"]), norm, delta_star)
     else:
         params = params_for_p_hat(float(model["n"]), float(model["p_target"]), norm, delta_star)
-    cond = raw.get("conditioning", {})
-    sampler = raw.get("sampler", {})
+    cond = _section(raw, "conditioning")
+    sampler = _section(raw, "sampler")
     return RunConfig(
         params=params,
-        s=int(raw.get("grid", {}).get("s", 5)),
+        s=int(_section(raw, "grid").get("s", 5)),
         delta_tilde=float(cond.get("delta_tilde", 1.0)),
         eps=float(cond.get("eps", 0.25)),
         eps_tilde=float(cond.get("eps_tilde", 0.2)),
@@ -258,7 +267,8 @@ def _svg_lineplot(xs, series, ref, title: str, path: Path):
     """series: list of (label, ys); ref: horizontal reference value or None."""
     W, H, pad = 640, 400, 50
     allv = [v for _, ys in series for v in ys] + ([ref] if ref is not None else [])
-    lo, hi = min(allv), max(allv)
+    finite = [v for v in allv if math.isfinite(v)]
+    lo, hi = min(finite, default=0.0), max(finite, default=0.0)
     span = (hi - lo) or 1.0
     lo -= 0.1 * span
     hi += 0.1 * span
@@ -274,13 +284,13 @@ def _svg_lineplot(xs, series, ref, title: str, path: Path):
     parts = [_svg_header(W, H), f'<text x="{pad}" y="20" font-size="14">{title}</text>']
     colors = ["#4878a8", "#a84848", "#48a860", "#7848a8"]
     for k, (label, ys) in enumerate(series):
-        pts = " ".join(f"{X(x):.1f},{Y(v):.1f}" for x, v in zip(xs, ys))
+        pts = " ".join(f"{X(x):.1f},{Y(v):.1f}" for x, v in zip(xs, ys) if math.isfinite(v))
         c = colors[k % len(colors)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{c}" stroke-width="2"/>')
         parts.append(
             f'<text x="{W - pad - 150}" y="{30 + 14 * k}" font-size="11" fill="{c}">{label}</text>'
         )
-    if ref is not None:
+    if ref is not None and math.isfinite(ref):
         parts.append(
             f'<line x1="{pad}" y1="{Y(ref):.1f}" x2="{W - pad}" y2="{Y(ref):.1f}" '
             f'stroke="gray" stroke-dasharray="5,4"/>'
@@ -358,6 +368,8 @@ def cmd_condition(cfg: RunConfig) -> int:
         if not accepted:
             summary["status"] = "no acceptances within budget"
     elif cfg.method == "planted":
+        if cfg.replicas < 1:
+            raise ConfigError("condition needs sampler.replicas >= 1")
         kept = 0
         log_weights = []
         for k in range(cfg.replicas):

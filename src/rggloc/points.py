@@ -11,7 +11,6 @@ definitional O(N^2) oracle and the two must agree exactly.
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import math
 import warnings
@@ -275,22 +274,3 @@ def count_in_probe(ps: PointSet, S: Probe) -> int:
     if len(ps) == 0:
         return 0
     return int(np.asarray(probe_contains(S, ps.points)).sum())
-
-
-def dump_csv(ps: PointSet) -> str:
-    """CSV with header `dim,n,seed` then one row per point, 17 significant digits."""
-    buf = io.StringIO()
-    buf.write(f"{ps.dim},{ps.intensity!r},{ps.seed}\n")
-    for row in ps.points:
-        buf.write(",".join(f"{c:.17g}" for c in row) + "\n")
-    return buf.getvalue()
-
-
-def load_csv(text: str) -> PointSet:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    dim_s, n_s, seed_s = lines[0].split(",")
-    dim = int(dim_s)
-    pts = np.array(
-        [[float(c) for c in ln.split(",")] for ln in lines[1:]], dtype=float
-    ).reshape(-1, dim)
-    return PointSet(points=pts, intensity=float(n_s), seed=int(seed_s))

@@ -20,7 +20,7 @@ from rggloc import (
     rejection_conditional,
     sample_cell_config,
 )
-from rggloc.cli import _svg_heatmap, _top_cells, load_config, main
+from rggloc.cli import _svg_heatmap, _svg_lineplot, _top_cells, load_config, main
 from rggloc.grid import dump_config_csv, load_config_csv
 
 
@@ -174,13 +174,43 @@ def test_condition_rejection_writes_the_first_50_of_all_acceptances(tmp_path):
     )
 
 
-def _run_cli(*args) -> subprocess.CompletedProcess:
-    """`python -m rggloc.cli *args` in a child process on this checkout's package."""
+def _run_cli(*args, **environ) -> subprocess.CompletedProcess:
+    """`python -m rggloc.cli *args` in a child process on this checkout's
+    package, with `environ` added to the environment."""
     src = str(Path(rggloc.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, **environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, "-m", "rggloc.cli", *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def _dispatch_targets_above_baseline() -> list:
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(f) and f not in umath.__cpu_baseline__]
+
+
+def test_outputs_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # every SIMD kernel numpy can pick above its baseline, on and off; tail
+    # needs 100 replicas
+    cfg = _write_config(tmp_path, sampler={"replicas": 100})
+    disabled = " ".join(_dispatch_targets_above_baseline())
+    digests = []
+    for environ in ({}, {"NPY_DISABLE_CPU_FEATURES": disabled}):
+        files = {}
+        for sub in ("condition", "extract", "tail", "verify"):
+            out = tmp_path / f"{sub}-{len(environ)}"
+            proc = _run_cli(sub, "--config", str(cfg), "--out", str(out), **environ)
+            assert proc.returncode == 0, proc.stderr
+            files.update({f"{sub}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+                          for f in out.iterdir() if f.name != "manifest.json"})
+        digests.append(files)
+    assert len(digests[0]) > 4
+    assert digests[0] == digests[1]
 
 
 def test_extract_with_nothing_to_certify_is_a_config_error(tmp_path):
@@ -232,7 +262,31 @@ def test_config_error_exit_codes(tmp_path, capsys):
         '{"model": {"n": 100, "d": 2, "norm": "l2", "r": 0.1, "p_target": 1.0}}'
     )
     assert main(["grid-info", "--config", str(both)]) == 2
-    capsys.readouterr()
+    # a top level or a section that is not a JSON object
+    for doc in ("[1]", '"model"', '{"model": [1]}',
+                '{"model": {"n": 100, "d": 2, "norm": "l2", "r": 0.1}, "sampler": 5}'):
+        bad.write_text(doc)
+        assert main(["grid-info", "--config", str(bad)]) == 2, doc
+    assert capsys.readouterr().err.count("config error:") == 7
+
+
+def test_condition_planted_with_no_replicas_is_a_config_error(tmp_path, capsys):
+    # the mean log weight of no replicas would be NaN, which is not JSON
+    cfg = _write_config(tmp_path, sampler={"replicas": 0})
+    assert main(["condition", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out" / "profiles.json").exists()
+
+
+def test_lineplot_leaves_non_finite_points_out(tmp_path):
+    # a sweep n with no hits has a normalized estimate of -inf
+    svg = tmp_path / "plot.svg"
+    _svg_lineplot([3.0, 4.0, 5.0], [("estimate", [-0.5, float("-inf"), float("nan")]),
+                                    ("bound", [-0.7, -0.6, -0.65])], -0.7, "t", svg)
+    text = svg.read_text()
+    assert "nan" not in text and "inf" not in text
+    lines = re.findall(r'<polyline points="([^"]*)"', text)
+    assert [len(pts.split()) for pts in lines] == [1, 3]
 
 
 def test_budget_exhaustion_exit_code(tmp_path, capsys):

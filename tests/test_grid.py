@@ -757,7 +757,9 @@ def test_config_csv_matches_per_row_writer_and_round_trips(dim, r):
         text = dump_config_csv(cfg)
         assert text == _dump_config_csv_per_row(cfg)
         crlf, cr = text.replace("\n", "\r\n"), text.replace("\n", "\r")
-        for variant in (text, crlf, cr, text + "\n\n", "\n" + crlf + "\r\n\r\n"):
+        # blanks around every field, and a blank-only line after every row
+        spaced = text.replace(",", " ,\t").replace("\n", " \n \t \n")
+        for variant in (text, crlf, cr, text + "\n\n", "\n" + crlf + "\r\n\r\n", spaced):
             assert np.array_equal(load_config_csv(variant, grid).counts, counts)
     header_only = dump_config_csv(CellConfig(np.zeros(grid.num_cells, dtype=np.int64), grid))
     assert header_only.count("\n") == 1
@@ -767,7 +769,8 @@ def test_config_csv_matches_per_row_writer_and_round_trips(dim, r):
 def test_config_csv_rejects_rows_off_the_grid(l2_grid):
     # the last has whole rows before its bad token, so a parser that stops
     # there would load a valid-looking prefix
-    bad_rows = ("50,0,3\n", "0,3\n", "0,x,3\n", "0,1,3\nx,1,1\n")
+    bad_rows = ("50,0,3\n", "0,3\n", "0,x,3\n", "0,1,3\nx,1,1\n", "0,1,3 # c\n", "0,1,1.5\n",
+                "0,1,1e2\n", "0,1,3,\n", ",0,1,3\n", "1_0,2,3\n", "0,1,+\n", "0,1,\xa03\n")
     for bad in ("i0,i1,count\n" + rows for rows in bad_rows):
         with pytest.raises(ValueError):
             load_config_csv(bad, l2_grid)
@@ -794,9 +797,12 @@ def test_config_csv_rejects_rows_of_compensating_widths(l2_grid):
 
 
 def test_config_csv_rejects_a_count_past_int64(l2_grid):
-    # the parser clamps it to 2^63 - 1
     with pytest.raises(ValueError, match="int64"):
         load_config_csv(f"i0,i1,count\n0,1,{10**20}\n", l2_grid)
+    with pytest.raises(ValueError, match="int64"):
+        load_config_csv(f"i0,i1,count\n0,1,{2**63}\n", l2_grid)
+    # the largest int64 is a count like any other
+    assert load_config_csv(f"i0,i1,count\n0,1,{2**63 - 1}\n", l2_grid)[0, 1] == 2**63 - 1
 
 
 def test_mu_s_dominates_mu_across_settings():

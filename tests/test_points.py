@@ -16,7 +16,7 @@ from rggloc import (
     sample_ppp,
 )
 from rggloc.geometry import torus_distance
-from rggloc.points import PointSet, dump_csv, load_csv
+from rggloc.points import PointSet
 
 
 def test_mu_formula(l2_params):
@@ -162,9 +162,3 @@ def test_count_in_probe():
     from rggloc import probe_contains
 
     assert count_in_probe(ps, ball) == int(probe_contains(ball, ps.points).sum())
-
-
-def test_csv_round_trip():
-    ps = sample_ppp(50.0, Norm("l2", 2), seed=9)
-    back = load_csv(dump_csv(ps))
-    assert np.array_equal(back.points, ps.points)
