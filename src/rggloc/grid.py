@@ -66,6 +66,7 @@ from __future__ import annotations
 import io
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -771,8 +772,12 @@ def load_config_csv(text: str, grid: GridModel) -> CellConfig:
     rows = np.empty((0, width), dtype=np.int64)
     if body.strip():
         try:
-            rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-        except ValueError as err:
+            # numpy 1.23 on, until the fallback went, casts a field that fails
+            # as an integer (1.5, 1e2, 2**63) from a float and only warns
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+        except (ValueError, DeprecationWarning) as err:
             raise ValueError(f"a row does not hold {width} comma-separated fields of int64: {err}") from err
     if rows.shape[1] != width:
         raise ValueError(f"{len(rows)} rows need {len(rows) * width} integers, got {rows.size}")

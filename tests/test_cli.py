@@ -11,6 +11,7 @@ import pytest
 
 import rggloc
 from rggloc import (
+    CellConfig,
     ModelParams,
     Norm,
     build_grid,
@@ -194,21 +195,44 @@ def _dispatch_targets_above_baseline() -> list:
             if umath.__cpu_features__.get(f) and f not in umath.__cpu_baseline__]
 
 
+def _tied_strip_input(tmp_path) -> tuple:
+    """A d = 1 config and a stored sample for `extract --input` whose top-cell
+    strip holds 20 cells tied at count 10, of which frakT, and so the red
+    outline, takes only the lowest 8: the bar colours show the tie order."""
+    (tmp_path / "strip").mkdir()
+    cfg = _write_config(tmp_path / "strip", model={"d": 1, "norm": "linf"})
+    run = load_config(str(cfg))
+    grid = build_grid(run.params, run.s)
+    rng = np.random.default_rng(1)
+    counts = rng.integers(0, 4, grid.num_cells)
+    counts[rng.choice(grid.num_cells, 20, replace=False)] = 10
+    stored = tmp_path / "strip" / "in"
+    stored.mkdir()
+    (stored / "planted_0000.csv").write_text(dump_config_csv(CellConfig(counts, grid)))
+    return cfg, stored
+
+
 def test_outputs_do_not_depend_on_numpy_simd_dispatch(tmp_path):
     # every SIMD kernel numpy can pick above its baseline, on and off; tail
-    # needs 100 replicas
+    # needs 100 replicas; the d = 2 config draws the heatmap, so a d = 1
+    # stored sample runs extract through the top-cell strip
     cfg = _write_config(tmp_path, sampler={"replicas": 100})
+    strip_cfg, strip_input = _tied_strip_input(tmp_path)
+    runs = [(sub, "--config", str(cfg)) for sub in ("condition", "extract", "tail", "verify")]
+    runs.append(("extract", "--config", str(strip_cfg), "--input", str(strip_input)))
     disabled = " ".join(_dispatch_targets_above_baseline())
     digests = []
     for environ in ({}, {"NPY_DISABLE_CPU_FEATURES": disabled}):
         files = {}
-        for sub in ("condition", "extract", "tail", "verify"):
-            out = tmp_path / f"{sub}-{len(environ)}"
-            proc = _run_cli(sub, "--config", str(cfg), "--out", str(out), **environ)
+        for k, args in enumerate(runs):
+            out = tmp_path / f"{k}-{args[0]}-{len(environ)}"
+            proc = _run_cli(*args, "--out", str(out), **environ)
             assert proc.returncode == 0, proc.stderr
-            files.update({f"{sub}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+            files.update({f"{k}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
                           for f in out.iterdir() if f.name != "manifest.json"})
         digests.append(files)
+    svg = (tmp_path / "4-extract-0" / "localization_heatmap.svg").read_text()
+    assert 'fill="red"' in svg and 'height="560.00" fill="#4878a8"' in svg
     assert len(digests[0]) > 4
     assert digests[0] == digests[1]
 

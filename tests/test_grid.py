@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -803,6 +804,18 @@ def test_config_csv_rejects_a_count_past_int64(l2_grid):
         load_config_csv(f"i0,i1,count\n0,1,{2**63}\n", l2_grid)
     # the largest int64 is a count like any other
     assert load_config_csv(f"i0,i1,count\n0,1,{2**63 - 1}\n", l2_grid)[0, 1] == 2**63 - 1
+
+
+def test_config_csv_rejects_a_field_numpy_casts_from_a_float(l2_grid, monkeypatch):
+    # numpy 1.23 on, until the fallback went, loads 1.5 as 1, 1e2 as 100 and
+    # 2**63 as an undefined cast, and only warns; this stands in for it
+    def loadtxt_with_float_fallback(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return np.array([[0, 1, 1]], dtype=np.int64)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_with_float_fallback)
+    with pytest.raises(ValueError, match="int64"):
+        load_config_csv("i0,i1,count\n0,1,1.5\n", l2_grid)
 
 
 def test_mu_s_dominates_mu_across_settings():
