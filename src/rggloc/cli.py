@@ -82,6 +82,17 @@ def _section(raw: dict, key: str) -> dict:
     return section
 
 
+def _field(section: dict, path: str, cast, default=None):
+    """The value at the last key of the dotted `path`, or `default`, through
+    `cast`; a value of a JSON type `cast` cannot take (null, a list for a
+    number, ...) is a ConfigError, not a TypeError."""
+    value = section.get(path.rpartition(".")[2], default)
+    try:
+        return cast(value)
+    except TypeError as e:
+        raise ConfigError(f"{path} has the wrong JSON type: {json.dumps(value)}") from e
+
+
 def load_config(path: str, seed=None, out=None) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -97,31 +108,32 @@ def load_config(path: str, seed=None, out=None) -> RunConfig:
     for key in ("n", "d", "norm"):
         if key not in model:
             raise ConfigError(f"model.{key} is required")
-    norm = Norm(model["norm"], int(model["d"]))
-    delta_star = float(model.get("delta_star", 0.1))
+    norm = Norm(model["norm"], _field(model, "model.d", int))
+    n = _field(model, "model.n", float)
+    delta_star = _field(model, "model.delta_star", float, 0.1)
     has_r = "r" in model
     has_p = "p_target" in model
     if has_r == has_p:
         raise ConfigError("exactly one of model.r / model.p_target is required")
     if has_r:
-        params = ModelParams(float(model["n"]), float(model["r"]), norm, delta_star)
+        params = ModelParams(n, _field(model, "model.r", float), norm, delta_star)
     else:
-        params = params_for_p_hat(float(model["n"]), float(model["p_target"]), norm, delta_star)
+        params = params_for_p_hat(n, _field(model, "model.p_target", float), norm, delta_star)
     cond = _section(raw, "conditioning")
     sampler = _section(raw, "sampler")
     return RunConfig(
         params=params,
-        s=int(_section(raw, "grid").get("s", 5)),
-        delta_tilde=float(cond.get("delta_tilde", 1.0)),
-        eps=float(cond.get("eps", 0.25)),
-        eps_tilde=float(cond.get("eps_tilde", 0.2)),
+        s=_field(_section(raw, "grid"), "grid.s", int, 5),
+        delta_tilde=_field(cond, "conditioning.delta_tilde", float, 1.0),
+        eps=_field(cond, "conditioning.eps", float, 0.25),
+        eps_tilde=_field(cond, "conditioning.eps_tilde", float, 0.2),
         method=str(sampler.get("method", "planted")),
-        replicas=int(sampler.get("replicas", 200)),
-        budget=int(sampler.get("budget", 10000)),
-        t=float(sampler.get("t", 1.0)),
-        seed=int(seed if seed is not None else raw.get("seed", 0)),
-        output_dir=Path(out if out is not None else raw.get("output_dir", "rggloc-out")),
-        n_sweep=[float(v) for v in model.get("n_sweep", [])],
+        replicas=_field(sampler, "sampler.replicas", int, 200),
+        budget=_field(sampler, "sampler.budget", int, 10000),
+        t=_field(sampler, "sampler.t", float, 1.0),
+        seed=int(seed) if seed is not None else _field(raw, "seed", int, 0),
+        output_dir=Path(out) if out is not None else _field(raw, "output_dir", Path, "rggloc-out"),
+        n_sweep=_field(model, "model.n_sweep", lambda vs: [float(v) for v in vs], []),
         raw=raw,
     )
 

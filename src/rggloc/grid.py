@@ -20,20 +20,23 @@ when d(I,J) <= s.
 Every question of the form "which cells lie within metric s" takes one array
 path.  `_metric_blocks` evaluates the closed form between two cell arrays in
 blocks of 256 rows, so memory stays linear in the larger set: it gives the
-exact set diameter at any size, the clique graph's adjacency, and the
-maximality test (no outside cell within s of every member).  `_cell_range`
-picks the offsets once, the (2s+3)^d window or, when m < 2s+3, the whole
-grid, for both the neighbour offsets and the enumeration window, and
-`_translate` moves an offset list to anchor cells for neighborhoods, clique
-translates and the planted samplers.
+exact set diameter at any size and the maximality test (no outside cell
+within s of every member).  `_cell_range` picks the offsets once, the
+(2s+3)^d window or, when m < 2s+3, the whole grid, for both the neighbour
+offsets and the enumeration window, and `_translate` moves an offset list to
+anchor cells for neighborhoods, clique translates and the planted samplers.
 
 tau_s, the largest set of cells with pairwise metric <= s, is a maximum clique
 of this adjacency: on the (s+2)^d window for a grid with m >= 2s+3, on the
-whole wrapped grid otherwise.  `_clique_graph` packs the graph into Python-int
-bitsets, and one colour-bounded branch and bound (MCQ/MCS, Tomita & Seki 2003;
-Tomita et al. 2010) proves the maximum, starting from a disc-swept greedy
-clique that stays the witness whenever it is optimal.  The same search, with
->= in place of >, enumerates the maximum sets through an anchor cell.
+whole wrapped grid otherwise.  `_clique_graph` reads the adjacency from a
+table of the metric per per-axis offset, in the same 256-row blocks, and
+packs it into Python-int bitsets.  The proof comes first: one colour-bounded
+branch and bound (MCQ/MCS, Tomita & Seki 2003; Tomita et al. 2010), floored
+by one disc-grown greedy clique, fixes tau.  Only then does a sweep of
+disc-grown greedy cliques over the window's centres look for the witness:
+the first centre's clique to reach tau, or the search's own clique when none
+does.  The same search, with >= in place of >, enumerates the maximum sets
+through an anchor cell.
 
 Every lattice stencil takes one wrapped-slice path.  `_wrapped_slices` maps
 an offset o (mod m) to the at most 2^d pairs of slices (a, b) for which
@@ -279,39 +282,56 @@ def _metric_blocks(a: np.ndarray, b: np.ndarray, norm: Norm, m: int | None = Non
 def _clique_graph(cells: np.ndarray, norm: Norm, s: int, m: int | None = None):
     """The graph on `cells` joining pairs at cell metric <= s, no self-loops.
 
+    The metric depends only on the per-axis |offset|, at most ptp(cells) on
+    every axis (the rows may have negative coordinates), so it is evaluated
+    once per offset into a table, and the adjacency gathers from it in blocks
+    of 256 rows; a wrapped offset is min(|a-b|, m-|a-b|).
     Vertices are renumbered by non-increasing degree (ties keep the row order):
     returns `order`, the row of `cells` behind each vertex, and the adjacency
     as one Python-int bitset per vertex (bit u of nbrs[v] set iff u ~ v).
     """
-    adj = np.vstack([blk <= s for blk in _metric_blocks(cells, cells, norm, m)])
+    w = int(np.ptp(cells, axis=0).max()) + 1
+    fits = _metric_from_delta(_lattice(0, w, cells.shape[1]), norm) <= s
+    coords = cells.T.astype(np.min_scalar_type(-(w ** cells.shape[1])))  # narrowest int for every key
+    adj = np.empty((len(cells), len(cells)), dtype=bool)
+    for i in range(0, len(cells), 256):
+        key = 0
+        for a, b in zip(coords[:, i : i + 256], coords):
+            delta = np.abs(a[:, None] - b[None, :])
+            if m is not None:
+                delta = np.minimum(delta, m - delta)
+            key = key * w + delta
+        adj[i : i + 256] = fits[key]
     np.fill_diagonal(adj, False)
     order = np.argsort(-adj.sum(axis=1), kind="stable")
-    rows = np.packbits(adj[order][:, order], axis=1, bitorder="little")
+    rows = np.packbits(adj.take(order, axis=0).take(order, axis=1), axis=1, bitorder="little")
     return order, [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def _greedy_clique(pts: np.ndarray, order: np.ndarray, nbrs: list) -> list:
-    """Disc-swept greedy clique: best over ball-growing orders from many centers.
+def _disc_orders(pts: np.ndarray, order: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Each centre's ball-growing vertex order: by squared distance from the
+    centre, ties to the lower `order`.  The distances are integers and `order`
+    is a permutation of the vertices, so the keys dist * V + order are distinct
+    and sort as lexsort((order, dist))."""
+    dist = ((pts[None] - centres[:, None]) ** 2).sum(axis=2)
+    return np.argsort(dist * len(order) + order, axis=1)
 
-    `pts` are the vertex coordinates; distance ties go to the lower `order`,
-    i.e. to the earlier row of the cells the graph was built from.
-    """
-    w = int(pts.max()) + 1 if len(pts) else 0
-    full = (1 << len(nbrs)) - 1
-    best: list = []
-    for c in _lattice(0, w, pts.shape[1]).astype(float):
-        dist = ((pts - c) ** 2).sum(axis=1)
-        cur = []
-        mask = full
-        for v in np.lexsort((order, dist)).tolist():
-            if mask >> v & 1:
-                cur.append(v)
-                mask &= nbrs[v]
-                if mask == 0:
-                    break
-        if len(cur) > len(best):
-            best = cur
-    return best
+
+def _disc_clique(ranked: list, nbrs: list, full: int, need: int) -> list:
+    """Greedy clique taking each vertex of `ranked` that fits, given up once
+    nothing more fits or it cannot reach `need` vertices.  That bound is
+    checked every 8th vertex taken: counting the bits of a mask thousands of
+    bits wide costs as much as the rest of a step, and a late stop only
+    costs time."""
+    cur: list = []
+    mask = full
+    for v in ranked:
+        if mask >> v & 1:
+            cur.append(v)
+            mask &= nbrs[v]
+            if not mask or (len(cur) % 8 == 0 and len(cur) + mask.bit_count() < need):
+                break
+    return cur
 
 
 def _colour_classes(P: int, nbrs: list):
@@ -375,14 +395,29 @@ def _clique_search(nbrs: list, base: list, cand: int, bar: int, cap: int | None 
 def _max_clique(cells: np.ndarray, norm: Norm, s: int, m: int | None = None) -> np.ndarray:
     """The cells of a maximum clique, as rows of `cells`; the search proves it.
 
-    The disc-swept greedy clique is the incumbent and stays the witness unless
-    the branch and bound finds a larger clique.
+    The proof comes first: one disc-grown greedy clique, from the middle
+    centre, is the branch and bound's floor, and the search fixes tau.  The
+    witness is then the disc-swept greedy clique: the first centre of the
+    window, in C order, whose ball-growing order (distance ties to the
+    earlier row of `cells`) reaches tau, each centre dropped once it cannot.
+    If none does, the witness is the search's first tau-clique; the
+    search's tree does not depend on its bar, so any bar below tau finds it.
     """
     order, nbrs = _clique_graph(cells, norm, s, m)
     pts = cells[order]
-    best = _greedy_clique(pts, order, nbrs)
-    better = _clique_search(nbrs, [], (1 << len(nbrs)) - 1, len(best))
-    return pts[better[-1] if better else best]
+    full = (1 << len(nbrs)) - 1
+    w, d = int(pts.max()) + 1, pts.shape[1]
+    middle = _disc_orders(pts, order, np.full((1, d), (w - 1) // 2))[0]
+    floor = len(_disc_clique(middle.tolist(), nbrs, full, 0))
+    better = _clique_search(nbrs, [], full, floor)
+    tau = len(better[-1]) if better else floor
+    centres = _lattice(0, w, d)
+    for i in range(0, len(centres), 64):
+        for ranked in _disc_orders(pts, order, centres[i : i + 64]):
+            cur = _disc_clique(ranked.tolist(), nbrs, full, tau)
+            if len(cur) == tau:
+                return pts[cur]
+    return pts[better[-1]]
 
 
 def _as_offsets(pts: np.ndarray) -> tuple:

@@ -294,6 +294,21 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.count("config error:") == 7
 
 
+@pytest.mark.parametrize("model,top,where", [
+    ({"n": None}, {}, "model.n has the wrong JSON type: null"),
+    ({}, {"grid": {"s": [5]}}, "grid.s has the wrong JSON type: [5]"),
+    ({"n_sweep": 1000}, {}, "model.n_sweep has the wrong JSON type: 1000"),
+    ({}, {"output_dir": 5}, "output_dir has the wrong JSON type: 5"),
+])
+def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, model, top, where):
+    # float(None), int([5]), iterating 1000 and Path(5) raise TypeError,
+    # which must not end in a traceback and exit 1, the verification-failure code
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"n": 100, "d": 2, "norm": "l2", "r": 0.1, **model}, **top}))
+    assert main(["grid-info", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {where}\n"
+
+
 def test_condition_planted_with_no_replicas_is_a_config_error(tmp_path, capsys):
     # the mean log weight of no replicas would be NaN, which is not JSON
     cfg = _write_config(tmp_path, sampler={"replicas": 0})

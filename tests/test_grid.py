@@ -31,7 +31,13 @@ from rggloc import (
     tiny_grid,
 )
 from rggloc.grid import (
+    _cell_range,
+    _clique_graph,
+    _clique_search,
     _interval_dists,
+    _lattice,
+    _max_clique,
+    _metric_blocks,
     _metric_from_delta,
     _neighbor_offsets_cached,
     _sgraded_edge_counts,
@@ -246,12 +252,86 @@ SPANS_L2_S16 = [
 
 def test_clique_offsets_pinned():
     # canonical witnesses; the planted samplers and every output derived from
-    # them build on these shapes.  s=12 depends on the greedy sweep breaking
-    # distance ties in the window's row order.
+    # them build on these shapes.  The search proves tau first; the witness is
+    # the first centre's disc-swept greedy clique to reach it, and s=12
+    # depends on that sweep breaking distance ties in the window's row order.
     assert _spans(max_clique_info(Norm("l2", 2), 5).members) == SPANS_L2_S5
     assert _spans(max_clique_info(Norm("l2", 2), 8).members) == SPANS_L2_S8
     assert _spans(max_clique_info(Norm("l2", 2), 12).members) == SPANS_L2_S12
     assert _spans(max_clique_info(Norm("l2", 2), 16).members) == SPANS_L2_S16
+
+
+def _sweep_then_search(cells, norm, s, m=None):
+    """Reference witness: the best disc-swept greedy clique over every centre
+    (the first centre to reach the best size keeps it), replaced only by the
+    branch and bound's last clique when that is larger.  Also returns the
+    greedy size."""
+    order, nbrs = _clique_graph(cells, norm, s, m)
+    pts = cells[order]
+    full = (1 << len(nbrs)) - 1
+    best: list = []
+    for c in _lattice(0, int(pts.max()) + 1, pts.shape[1]).astype(float):
+        dist = ((pts - c) ** 2).sum(axis=1)
+        cur, mask = [], full
+        for v in np.lexsort((order, dist)).tolist():
+            if mask >> v & 1:
+                cur.append(v)
+                mask &= nbrs[v]
+                if mask == 0:
+                    break
+        if len(cur) > len(best):
+            best = cur
+    better = _clique_search(nbrs, [], full, len(best))
+    return pts[better[-1] if better else best], len(best)
+
+
+# the greedy sweep falls short of tau on these keys, so the witness is the
+# search's clique there
+GREEDY_SHORT = {("l1", 2, 3), ("l1", 2, 5), ("l1", 2, 7), ("l1", 2, 9), ("l1", 2, 11),
+                ("l1", 3, 3), ("l1", 3, 4), ("l1", 3, 5), ("l2", 2, 5), ("l2", 2, 9),
+                ("l2", 2, 10), ("l2", 3, 3), ("l2", 3, 5)}
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_max_clique_witness_matches_sweep_then_search(kind):
+    for dim, svals in ((1, range(1, 9)), (2, range(1, 13)), (3, range(1, 6))):
+        for s in svals:
+            cells = _lattice(0, s + 2, dim)
+            ref, greedy = _sweep_then_search(cells, Norm(kind, dim), s)
+            assert (greedy < len(ref)) == ((kind, dim, s) in GREEDY_SHORT), (dim, s)
+            np.testing.assert_array_equal(_max_clique(cells, Norm(kind, dim), s), ref)
+
+
+@pytest.mark.parametrize("dim,m,s", [(2, 8, 3), (3, 5, 2)])
+def test_max_clique_witness_matches_sweep_then_search_on_tiny_grids(dim, m, s):
+    # wrapped L1 grids where the greedy reaches tau but the search, started
+    # from a lower floor, would first meet a different maximum clique
+    cells = _lattice(0, m, dim)
+    ref, greedy = _sweep_then_search(cells, Norm("l1", dim), s, m)
+    assert greedy == len(ref)
+    np.testing.assert_array_equal(_max_clique(cells, Norm("l1", dim), s, m), ref)
+
+
+def _bitset_adjacency(cells, norm, s, m=None):
+    """`_clique_graph`'s bitsets unpacked into a bool matrix over the rows of `cells`."""
+    order, nbrs = _clique_graph(cells, norm, s, m)
+    bits = np.array([[row >> u & 1 for u in range(len(nbrs))] for row in nbrs], dtype=bool)
+    adj = np.zeros_like(bits)
+    adj[np.ix_(order, order)] = bits
+    return order, adj
+
+
+@pytest.mark.parametrize("kind,dim", [("l1", 2), ("l2", 2), ("linf", 2), ("l1", 3), ("l2", 3)])
+def test_clique_graph_matches_metric_blocks(kind, dim):
+    norm = Norm(kind, dim)
+    s = 3
+    span, _ = _cell_range(s, 2 * s + 3, dim)  # -(s+1)..s+1, negative coordinates
+    for cells, m in ((_lattice(0, s + 2, dim), None), (span, None), (_lattice(0, 5, dim), 5)):
+        ref = np.vstack(list(_metric_blocks(cells, cells, norm, m))) <= s
+        np.fill_diagonal(ref, False)
+        order, adj = _bitset_adjacency(cells, norm, s, m)
+        np.testing.assert_array_equal(adj, ref)
+        np.testing.assert_array_equal(order, np.argsort(-ref.sum(axis=1), kind="stable"))
 
 
 def test_set_diameter_matches_pairwise_loop(l2_grid):
