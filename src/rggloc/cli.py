@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .extract import certify_thm2, localization_profile
+from .extract import _top_cells, certify_thm2, localization_profile
 from .geometry import Norm
 from .grid import (
     CellConfig,
@@ -218,16 +218,6 @@ def _svg_histogram(values, title: str, path: Path, bins: int = 30):
     )
     parts.append("</svg>\n")
     path.write_text("\n".join(parts))
-
-
-def _top_cells(counts: np.ndarray, k: int) -> np.ndarray:
-    """Flat indices of the k largest counts, by count descending with ties to
-    the lower flat index (extract_T's rule); only cells at or above the k-th
-    largest count are sorted."""
-    k = min(k, counts.size)
-    kth = np.partition(counts, counts.size - k)[counts.size - k]
-    above = np.flatnonzero(counts >= kth)
-    return above[np.argsort(-counts[above], kind="stable")[:k]]
 
 
 def _svg_heatmap(cfg_counts, grid, highlight, title: str, path: Path):

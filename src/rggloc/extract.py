@@ -6,8 +6,9 @@ The pipeline reads a cell configuration and extracts, in order:
            normalized vertex mass V exceeds 1 - 2*xi/log(n);
   frakP  — the members of frakT whose count exceeds xi^{1/4} q / tau_s.
 
-The three stages exchange sorted C-order flat int64 cell indices; the report
-holds each set as a sorted tuple of index tuples.  On a localized
+The three stages exchange sorted C-order flat int64 cell indices, and the
+report keeps them so: it turns a set into a sorted tuple of index tuples only
+when that set is read, and into index rows when it is written.  On a localized
 configuration frakP is a maximal clique set carrying nearly all excess
 vertices; the certification report checks exactly that, clause by clause,
 and never throws on non-localized inputs.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .grid import (
     sgraded_edge_count,
 )
 from .points import ModelParams, PointSet
-from .stats import DerivedScales, Q_internal, V_count, _mask, _pair_sums
+from .stats import DerivedScales, Q_internal, V_count, _pair_sums
 
 
 class InsufficientMassError(ValueError):
@@ -50,8 +52,9 @@ class InsufficientMassError(ValueError):
 
 
 def extract_bulk_exceedance(cfg: CellConfig, scales: DerivedScales) -> np.ndarray:
-    """frakI = {I : X_I > M}."""
-    return np.flatnonzero(cfg.counts > scales.M)
+    """frakI = {I : X_I > M}.  Counts are whole numbers, so X_I > M exactly
+    when X_I > floor(M), a compare in the counts' own dtype."""
+    return np.flatnonzero(cfg.counts > math.floor(scales.M))
 
 
 def extract_T(cfg: CellConfig, frakI: np.ndarray, scales: DerivedScales) -> np.ndarray:
@@ -77,19 +80,47 @@ def extract_P(cfg: CellConfig, frakT: np.ndarray, scales: DerivedScales) -> np.n
     return frakT[cfg.counts[frakT] > cut]
 
 
-def _report_json(report, schema: str) -> str:
-    """A report as sorted-key JSON: its schema and every field, tuples as arrays."""
-    doc = {f.name: getattr(report, f.name) for f in fields(report)}
+def _top_cells(counts: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices of the k largest counts, by count descending with ties to
+    the lower flat index (extract_T's rule).  The k-th largest of the maxima
+    of at least k blocks is at most the k-th largest count, so only the cells
+    at or above it are sorted: no sort or selection runs over the whole grid,
+    where small tied counts make `np.partition` slower than a full sort."""
+    k = min(k, counts.size)
+    step = max(1, counts.size // max(k, 1024))
+    blocks = np.maximum.reduceat(counts, np.arange(0, counts.size, step))
+    bound = np.partition(blocks, blocks.size - k)[blocks.size - k]
+    above = np.flatnonzero(counts >= bound)
+    return above[np.argsort(-counts[above], kind="stable")[:k]]
+
+
+def _index_rows(flat: np.ndarray, shape: tuple) -> np.ndarray:
+    """C-order flat cell indices into `shape` as (k, d) int64 index rows."""
+    return np.stack(np.unravel_index(flat, shape), axis=1)
+
+
+def _report_json(report, schema: str, **cells) -> str:
+    """A report as sorted-key JSON: its schema and every public field, tuples
+    as arrays, plus `cells`, each a cell set as (k, d) index rows."""
+    doc = {f.name: getattr(report, f.name) for f in fields(report) if f.name[0] != "_"}
+    doc.update((key, rows.tolist()) for key, rows in cells.items())
     return json.dumps({"schema": schema, **doc}, sort_keys=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalizationReport:
-    """Theorem-2 clauses of one config; frakI/T/P are sorted tuples of index tuples."""
+    """Theorem-2 clauses of one config.
 
-    frakI: tuple
-    frakT: tuple
-    frakP: tuple
+    `_frakI`, `_frakT` and `_frakP` are the stages' sorted C-order flat int64
+    cell indices into the grid shape `_shape`, made read-only.  The `frakI`,
+    `frakT` and `frakP` properties derive each set as a sorted tuple of index
+    tuples on first read and keep it.  A report holds arrays, so reports
+    compare by identity."""
+
+    _shape: tuple
+    _frakI: np.ndarray
+    _frakT: np.ndarray
+    _frakP: np.ndarray
     diamP: int
     cardP: int
     max_dev_inside: float
@@ -99,8 +130,30 @@ class LocalizationReport:
     eps_tilde: float
     insufficient_mass: bool
 
+    def __post_init__(self):
+        for flat in (self._frakI, self._frakT, self._frakP):
+            flat.flags.writeable = False
+
+    @cached_property
+    def frakI(self) -> tuple:
+        return _index_tuples(self._frakI, self._shape)
+
+    @cached_property
+    def frakT(self) -> tuple:
+        return _index_tuples(self._frakT, self._shape)
+
+    @cached_property
+    def frakP(self) -> tuple:
+        return _index_tuples(self._frakP, self._shape)
+
     def to_json(self) -> str:
-        return _report_json(self, "thm2_report.v1")
+        return _report_json(
+            self,
+            "thm2_report.v1",
+            frakI=_index_rows(self._frakI, self._shape),
+            frakT=_index_rows(self._frakT, self._shape),
+            frakP=_index_rows(self._frakP, self._shape),
+        )
 
 
 def certify_thm2(
@@ -122,9 +175,17 @@ def certify_thm2(
     ratio = grid.tau_s / scales.q
     in_mask = np.zeros(grid.num_cells, dtype=bool)
     in_mask[frakP] = True
-    dev_out = float(cfg.counts.max(where=~in_mask, initial=0) * ratio)
+    # every cell outside frakI counts at most M, below any cell in it, so the
+    # largest count outside frakP is in frakI - frakP whenever that is nonempty
+    outside = np.ones(len(frakI), dtype=bool)
+    outside[np.searchsorted(frakI, frakP)] = False
+    if outside.any():
+        top_out = cfg.counts[frakI[outside]].max()
+    else:
+        top_out = cfg.counts.max(where=~in_mask, initial=0)
+    dev_out = float(top_out * ratio)
     if card:
-        diam = set_diameter(np.stack(np.unravel_index(frakP, grid.shape), 1), grid)
+        diam = set_diameter(_index_rows(frakP, grid.shape), grid)
         dev_in = float(np.abs(cfg.counts[frakP] * ratio - 1.0).max())
         qp = Q_internal(in_mask, cfg, scales)
     else:
@@ -136,9 +197,10 @@ def certify_thm2(
         and dev_out <= eps_tilde
     )
     return LocalizationReport(
-        frakI=_index_tuples(frakI, grid),
-        frakT=_index_tuples(frakT, grid),
-        frakP=_index_tuples(frakP, grid),
+        _shape=grid.shape,
+        _frakI=frakI,
+        _frakT=frakT,
+        _frakP=frakP,
         diamP=diam,
         cardP=card,
         max_dev_inside=dev_in,
@@ -158,8 +220,9 @@ def localization_profile(cfg: CellConfig, grid: GridModel, scales: DerivedScales
     only: the complement's pairs are |E_s| - pairs(frakP) - cross(frakP, frakP^c).
     """
     report = certify_thm2(cfg, grid, scales)
-    in_mask = _mask(report.frakP, grid)
-    top = np.sort(cfg.counts)[::-1][:20]
+    in_mask = np.zeros(grid.num_cells, dtype=bool)
+    in_mask[report._frakP] = True
+    top = cfg.counts[_top_cells(cfg.counts, 20)]
     out = {
         "V_P": V_count(in_mask, cfg, scales),
         "Q_P": report.QP,

@@ -178,9 +178,9 @@ def _rows(members, grid: GridModel) -> np.ndarray:
     return np.array(list(members), dtype=np.int64).reshape(-1, grid.norm.dim) % grid.m
 
 
-def _index_tuples(flat: np.ndarray, grid: GridModel) -> tuple:
-    """The index tuples of C-order flat cell indices, as Python ints."""
-    return tuple(zip(*(c.tolist() for c in np.unravel_index(flat, grid.shape))))
+def _index_tuples(flat: np.ndarray, shape: tuple) -> tuple:
+    """The index tuples of C-order flat cell indices into `shape`, as Python ints."""
+    return tuple(zip(*(c.tolist() for c in np.unravel_index(flat, shape))))
 
 
 def _translate(grid: GridModel, anchors, offsets) -> np.ndarray:
@@ -260,7 +260,7 @@ def neighbor_offsets(grid: GridModel) -> tuple:
 
 def neighborhood(I: CellIndex, grid: GridModel) -> frozenset:
     offs = ((0,) * grid.norm.dim, *neighbor_offsets(grid))
-    return frozenset(_index_tuples(_translate(grid, I, offs)[0], grid))
+    return frozenset(_index_tuples(_translate(grid, I, offs)[0], grid.shape))
 
 
 def _pairwise_metric(a: np.ndarray, b: np.ndarray, norm: Norm, m: int | None = None) -> np.ndarray:
@@ -458,7 +458,7 @@ def tiny_grid(norm: Norm, m: int, s: int, n: float) -> GridModel:
 
 def clique_translate(grid: GridModel, anchor: CellIndex) -> frozenset:
     """The canonical maximal clique set translated to an anchor cell."""
-    return frozenset(_index_tuples(_translate(grid, anchor, grid.clique_offsets)[0], grid))
+    return frozenset(_index_tuples(_translate(grid, anchor, grid.clique_offsets)[0], grid.shape))
 
 
 def enumerate_max_clique_sets(grid: GridModel, anchor: CellIndex, cap: int = 1000) -> list:
@@ -472,7 +472,7 @@ def enumerate_max_clique_sets(grid: GridModel, anchor: CellIndex, cap: int = 100
     order, nbrs = _clique_graph(coords, grid.norm, grid.s, wrap)
     a = int(np.flatnonzero(cells[order] == np.ravel_multi_index(anchor, grid.shape))[0])
     found = _clique_search(nbrs, [a], nbrs[a], grid.tau_s - 1, cap)
-    index = _index_tuples(cells, grid)
+    index = _index_tuples(cells, grid.shape)
     return [frozenset(index[order[v]] for v in clique) for clique in found]
 
 

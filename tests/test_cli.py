@@ -21,7 +21,8 @@ from rggloc import (
     rejection_conditional,
     sample_cell_config,
 )
-from rggloc.cli import _svg_heatmap, _svg_lineplot, _top_cells, load_config, main
+from rggloc.cli import _svg_heatmap, _svg_lineplot, load_config, main
+from rggloc.extract import _top_cells
 from rggloc.grid import dump_config_csv, load_config_csv
 
 

@@ -32,7 +32,13 @@ from rggloc import (
     sample_ppp,
 )
 from rggloc import geometry
-from rggloc.extract import Thm1Report, _clause_a_probes, _densest_ball_center, _index_tuples
+from rggloc.extract import (
+    Thm1Report,
+    _clause_a_probes,
+    _densest_ball_center,
+    _index_tuples,
+    _top_cells,
+)
 from rggloc.geometry import probe_measure, torus_distance, wrapped_delta
 from rggloc.grid import CellConfig, clique_translate, flat_index, set_diameter, unflat_index
 from rggloc.stats import Q_internal
@@ -70,7 +76,7 @@ def _planted_config(grid, scales, level=None):
 
 
 def _cells(flat, grid):
-    return frozenset(_index_tuples(flat, grid))
+    return frozenset(_index_tuples(flat, grid.shape))
 
 
 def test_bulk_exceedance_strict_threshold(big_grid, big_scales):
@@ -272,6 +278,97 @@ def test_certify_thm2_json_matches_tuple_pipeline(big_grid, big_scales):
     assert {(True, False, True), (False, False, True), (False, True, False)} <= verdicts
 
 
+def test_max_ratio_outside_matches_dense_masked_max(big_grid, big_scales):
+    # the report takes the largest count outside frakP from frakI - frakP and
+    # scans the whole grid only when frakP = frakI; a background of ones keeps
+    # every cell outside frakI (counts <= M < 2) from reading 0
+    assert 1 <= big_scales.M < 2
+    ones = np.ones(big_grid.num_cells, dtype=np.int64)
+    planted, W = _planted_config(big_grid, big_scales)
+    on_ones = ones.copy()
+    on_ones[planted.counts > 0] = planted.counts[planted.counts > 0]
+    extra = on_ones.copy()
+    extra[[10, 20, 30]] = [2, 3, 2]  # big cells far from the clique set
+    lone = ones.copy()
+    lone[10] = 2
+    cases = {
+        "I > P": (extra, True),
+        "P = I": (on_ones, True),
+        "I empty": (ones, False),
+        "insufficient mass": (lone, False),
+    }
+    ratio = big_grid.tau_s / big_scales.q
+    for name, (counts, localized) in cases.items():
+        rep = certify_thm2(CellConfig(counts, big_grid), big_grid, big_scales)
+        mask = np.zeros(big_grid.num_cells, dtype=bool)
+        mask[[flat_index(I, big_grid.m) for I in rep.frakP]] = True
+        assert rep.max_ratio_outside == float(counts.max(where=~mask, initial=0) * ratio), name
+        assert rep.thm2_pass == localized, name
+    assert len(certify_thm2(CellConfig(extra, big_grid), big_grid, big_scales).frakI) == 9
+    assert certify_thm2(CellConfig(on_ones, big_grid), big_grid, big_scales).frakP == tuple(sorted(W))
+    assert certify_thm2(CellConfig(lone, big_grid), big_grid, big_scales).insufficient_mass
+
+
+def _report_cases():
+    """(grid, scales, config) at d = 1, 2, 3: planted draws, an empty grid
+    (frakI = frakT = frakP = {}) and a lone big cell (frakI nonempty, frakT =
+    frakP = {})."""
+    grids = [
+        build_grid(params_for_p_hat(1e5, 1.0, Norm("linf", 1)), 5),
+        build_grid(params_for_p_hat(1e4, 1.0, Norm("l2", 2)), 5),
+        build_grid(ModelParams(200.0, 0.2, Norm("l1", 3)), 3),
+    ]
+    for grid in grids:
+        scales = derived_scales(grid, delta_tilde=1.0)
+        lone = np.zeros(grid.num_cells, dtype=np.int64)
+        lone[1] = 2
+        yield grid, scales, CellConfig(np.zeros(grid.num_cells, dtype=np.int64), grid)
+        yield grid, scales, CellConfig(lone, grid)
+        for k in range(2):
+            yield grid, scales, planted_cell_sampler(grid, 1.0, 5, k).config
+
+
+def test_report_sets_derive_from_stored_flat_indices():
+    seen = set()
+    for grid, scales, cfg in _report_cases():
+        rep = certify_thm2(cfg, grid, scales)
+        assert rep._shape == grid.shape
+        for name in ("frakI", "frakT", "frakP"):
+            flat = getattr(rep, "_" + name)
+            assert not flat.flags.writeable
+            assert getattr(rep, name) == _index_tuples(flat, grid.shape)
+            assert getattr(rep, name) is getattr(rep, name)  # built once
+        tuples = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+        tuples = {k: v for k, v in tuples.items() if k[0] != "_"}
+        tuples.update(frakI=rep.frakI, frakT=rep.frakT, frakP=rep.frakP)
+        assert rep.to_json() == json.dumps({"schema": "thm2_report.v1", **tuples}, sort_keys=True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.cardP = 0
+        with pytest.raises(ValueError):
+            rep._frakP[:1] = 0
+        seen.add((grid.norm.dim, bool(rep.frakI), bool(rep.frakT), bool(rep.frakP)))
+    for d in (1, 2, 3):
+        assert {(d, False, False, False), (d, True, False, False), (d, True, True, True)} <= seen
+
+
+def test_report_sets_serve_the_tuple_interface(big_grid, big_scales):
+    # what callers that predate the flat storage read: lengths, truth values,
+    # sorting and tuple equality
+    cfg, W = _planted_config(big_grid, big_scales)
+    rep = certify_thm2(cfg, big_grid, big_scales)
+    assert len(rep.frakI) == len(W)
+    assert rep.frakP == tuple(sorted(W))
+    assert sorted(rep.frakP) == list(rep.frakP)
+    assert all(type(c) is int for I in rep.frakP for c in I)
+    idx = np.ravel_multi_index(np.asarray(sorted(rep.frakP)).T, big_grid.shape)
+    assert (cfg.counts[idx] > 0).all()
+    empty = certify_thm2(
+        CellConfig(np.zeros(big_grid.num_cells, dtype=np.int64), big_grid), big_grid, big_scales
+    )
+    assert not empty.frakP and empty.frakP == ()
+    assert len(empty.frakI) == 0
+
+
 def test_stages_return_sorted_flat_int64(big_grid, big_scales):
     for k in range(3):
         cfg = planted_cell_sampler(big_grid, 1.0, 59, k).config
@@ -312,6 +409,23 @@ def test_localization_profile_keys(big_grid, big_scales):
     assert prof["Q_P"] > 0.0
     assert len(prof["top_counts"]) == 20
     json.dumps(prof)  # must be serializable as-is
+    for k in range(2):
+        cfg = planted_cell_sampler(big_grid, 1.0, 61, k).config
+        top = localization_profile(cfg, big_grid, big_scales)["top_counts"]
+        assert top == np.sort(cfg.counts)[::-1][:20].tolist()
+
+
+def test_top_cells_matches_lexsort():
+    # count descending, ties to the lower flat index, on tied small counts of
+    # both dtypes, grids smaller than k and than the 1024 blocks, a lone big
+    # cell and a grid of one value
+    rng = np.random.default_rng(3)
+    cases = [rng.poisson(lam, size) for lam, size in ((0.2, 499_999), (3.0, 5000), (1.0, 700), (2.0, 12))]
+    cases += [cases[1].astype(np.float64), np.zeros(3000, dtype=np.int64), np.eye(1, 4099, 4098).ravel()]
+    for counts in cases:
+        rank = np.lexsort((np.arange(counts.size), -counts))
+        for k in (1, 20, 50):
+            assert np.array_equal(_top_cells(counts, k), rank[:k])
 
 
 def test_certify_thm1_planted_continuum():

@@ -722,8 +722,11 @@ def _ref_inscribed(members, grid, refine=8):
     # must stay inside the window
     assert all(len(gk) < m for gk in grids)
     member_set = {tuple(o) for o in offs}
-    allc = np.stack([mm.ravel() for mm in np.meshgrid(*grids, indexing="ij")], axis=-1)
-    nonmem = np.array([row for row in allc if tuple(row) not in member_set], dtype=float)
+    # the nearest non-member touches a member: short of the nearest point p of
+    # its box, the segment from the center to p runs through member cells only,
+    # or a nearer non-member would exist; so only the 3^d neighbours are scored
+    touch = np.unique((offs[:, None, :] + _lattice(-1, 2, d)).reshape(-1, d), axis=0)
+    nonmem = np.array([row for row in touch if tuple(row) not in member_set], dtype=float)
     sub = (np.arange(refine) + 0.5) / refine
     shifts = np.array(list(itertools.product(sub, repeat=d)))
     centers = (offs[:, None, :] + shifts[None, :, :]).reshape(-1, d)
@@ -740,8 +743,7 @@ def _ref_inscribed(members, grid, refine=8):
 
 def test_inscribed_ball_matches_window_reference(l2_grid):
     headline = ModelParams(150.0, 0.1, Norm("l2", 2))
-    # the criterion-13 sets (anchor (0, 0)) and anchors at the seam; the
-    # reference takes about 11 s at s=32, so that size runs once
+    # the criterion-13 sets (anchor (0, 0)) and anchors at the seam
     cases = []
     for s, anchors in ((8, 3), (16, 2), (32, 1)):
         g = build_grid(headline, s)
