@@ -38,7 +38,6 @@ from .grid import (
     GridModel,
     _index_tuples,
     _lattice,
-    _translate,
     build_grid,
     set_diameter,
     sgraded_edge_count,
@@ -173,8 +172,6 @@ def certify_thm2(
     frakP = extract_P(cfg, frakT, scales)
     card = len(frakP)
     ratio = grid.tau_s / scales.q
-    in_mask = np.zeros(grid.num_cells, dtype=bool)
-    in_mask[frakP] = True
     # every cell outside frakI counts at most M, below any cell in it, so the
     # largest count outside frakP is in frakI - frakP whenever that is nonempty
     outside = np.ones(len(frakI), dtype=bool)
@@ -182,12 +179,15 @@ def certify_thm2(
     if outside.any():
         top_out = cfg.counts[frakI[outside]].max()
     else:
+        in_mask = np.zeros(grid.num_cells, dtype=bool)
+        in_mask[frakP] = True
         top_out = cfg.counts.max(where=~in_mask, initial=0)
     dev_out = float(top_out * ratio)
     if card:
-        diam = set_diameter(_index_rows(frakP, grid.shape), grid)
+        rows = _index_rows(frakP, grid.shape)
+        diam = set_diameter(rows, grid)
         dev_in = float(np.abs(cfg.counts[frakP] * ratio - 1.0).max())
-        qp = Q_internal(in_mask, cfg, scales)
+        qp = Q_internal(rows, cfg, scales)
     else:
         diam, dev_in, qp = 0, math.inf, 0.0
     ok = (
@@ -220,19 +220,18 @@ def localization_profile(cfg: CellConfig, grid: GridModel, scales: DerivedScales
     only: the complement's pairs are |E_s| - pairs(frakP) - cross(frakP, frakP^c).
     """
     report = certify_thm2(cfg, grid, scales)
-    in_mask = np.zeros(grid.num_cells, dtype=bool)
-    in_mask[report._frakP] = True
+    frakP = report._frakP
     top = cfg.counts[_top_cells(cfg.counts, 20)]
     out = {
-        "V_P": V_count(in_mask, cfg, scales),
+        "V_P": V_count(_index_rows(frakP, grid.shape), cfg, scales),
         "Q_P": report.QP,
         "top_counts": [int(v) for v in top],
         "cardP": report.cardP,
         "diamP": report.diamP,
     }
     if grid.num_cells <= 100_000:
-        within, cross2 = _pair_sums(cfg, in_mask, in_mask)
-        cross = _pair_sums(cfg, in_mask, ~in_mask)[1]
+        within, cross2, total = _pair_sums(cfg, frakP)
+        cross = total - cross2
         comp = sgraded_edge_count(cfg) - (within + cross2 // 2) - cross
         out["Q_P_comp"] = (2.0 / scales.q**2) * cross
         out["Q_comp"] = (2.0 / scales.q**2) * comp
@@ -270,22 +269,43 @@ def _wrapped_near(x: np.ndarray, center, reach: float) -> np.ndarray:
     return x[(wrapped_delta(x, center) <= reach).all(axis=-1)]
 
 
+def _densest_window(cells: np.ndarray, offsets: np.ndarray, m: int) -> np.ndarray:
+    """Anchor of the clique window holding the most points on the m^d torus,
+    the lowest C-order flat index among ties: a point in cell c adds one to
+    each anchor c - o.  The offsets lie in [0, w]^d with w < m, so every
+    anchor lies in [-w, m) per axis: the anchors are counted by one bincount
+    on the padded (m + w)^d lattice, with no wrap per point, and each axis's
+    margin [0, w) is then added onto [m, m + w), where its anchors belong
+    mod m, and set to -1.  The padded lattice orders its interior
+    [w, m + w)^d as C order on m^d does, so the first maximum of the whole
+    padded array is the first maximum of the windows."""
+    d = cells.shape[1]
+    w = int(offsets.max())
+    side = m + w
+    strides = side ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    flat = ((cells + w) @ strides)[:, None] - offsets @ strides
+    pad = np.bincount(flat.ravel(), minlength=side**d).reshape((side,) * d)
+    for axis in range(d):
+        view = np.moveaxis(pad, axis, 0)
+        view[m:] += view[:w]
+        view[:w] = -1
+    return np.array(np.unravel_index(int(np.argmax(pad)), pad.shape)) - w
+
+
 def _densest_ball_center(ps: PointSet, params: ModelParams, s: int = 5) -> tuple:
     """Candidate ball center: densest clique-window centroid, locally refined.
 
     The window anchored at cell I holds the points of the cells I + o, o in
-    the clique offsets, so each point adds one to every anchor (its cell) - o:
-    a bincount of those anchors is the window count at every anchor, and
-    anchors that no point reaches score 0.  The first maximum (lowest flat
-    index) wins.  Each of the 5^d refined candidates, within 1/m of the
+    the clique offsets, and `_densest_window` counts it at every anchor,
+    anchors that no point reaches scoring 0.  The first maximum (lowest
+    flat index) wins.  Each of the 5^d refined candidates, within 1/m of the
     window's centroid on every axis, counts only the points within
     r/2 + 1/m of that centroid per axis, a superset of its ball's points."""
     grid = build_grid(params, s)
     m = grid.m
     offsets = np.array(grid.clique_offsets, dtype=np.int64)
     cells = np.minimum((ps.points * m).astype(np.int64), m - 1)
-    windows = np.bincount(_translate(grid, cells, -offsets).ravel(), minlength=grid.num_cells)
-    anchor = np.array(np.unravel_index(int(np.argmax(windows)), grid.shape))
+    anchor = _densest_window(cells, offsets, m)
     base = (anchor + offsets.mean(axis=0) + 0.5) / m % 1.0
     # 5-per-axis local refinement of the center at stride (1/m)/2; the first
     # candidate with the most points in its ball of radius r/2 wins
@@ -321,14 +341,30 @@ def _tile_counts(points: np.ndarray, kgrid: int, r: float, norm: Norm) -> np.nda
     C-order flat count per tile.  A tile's side 1/kgrid is at least r/2, so a
     tile two or more away on some axis has its center more than r/2 from the
     point; kgrid >= 4 since r < 1/2, so the 3^d tiles around a point's own are
-    distinct, and each point is tested against those only."""
+    distinct, and each point is tested against those only.  Each axis gives
+    its 3 candidate tiles and their wrapped gaps, and the 3^d distances are
+    combined from them by broadcasting with the norm's own operation in axis
+    order (max, running sum, or running sum of squares then sqrt), the float
+    operations `torus_distance` does, so the hits are the same."""
     d = norm.dim
     stride = 1.0 / kgrid
     own = np.minimum(np.floor(points / stride).astype(np.int64), kgrid - 1)
-    tiles = (own[:, None, :] + _lattice(-1, 2, d)) % kgrid
-    hit = torus_distance(points[:, None, :], (tiles + 0.5) * stride, norm) <= r / 2.0
-    flat = np.ravel_multi_index(tiles[hit].T, (kgrid,) * d)
-    return np.bincount(flat, minlength=kgrid**d)
+    tiles = (own[:, :, None] + np.arange(-1, 2)) % kgrid  # (N, d, 3)
+    gaps = wrapped_delta(points[:, :, None], (tiles + 0.5) * stride)
+    if norm.kind == "l2":
+        gaps = gaps * gaps
+
+    def along(a, k):  # axis k's three entries on broadcast axis k + 1
+        return a[:, k].reshape((-1,) + (1,) * k + (3,) + (1,) * (d - 1 - k))
+
+    dist = along(gaps, 0)
+    flat = along(tiles, 0) * kgrid ** (d - 1)
+    for k in range(1, d):
+        dist = np.maximum(dist, along(gaps, k)) if norm.kind == "linf" else dist + along(gaps, k)
+        flat = flat + along(tiles, k) * kgrid ** (d - 1 - k)
+    if norm.kind == "l2":
+        dist = np.sqrt(dist)
+    return np.bincount(flat[dist <= r / 2.0], minlength=kgrid**d)
 
 
 def _tiles_near(center: np.ndarray, kgrid: int, r: float, norm: Norm) -> np.ndarray:

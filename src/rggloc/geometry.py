@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +20,9 @@ _KINDS = ("l1", "l2", "linf")
 MAX_DIM = 4
 # most grid centres one ball-box quadrature round may build: 2048^2 at d = 2
 _MESH_CAP = 1 << 22
+# dyadic step the ball-box corner offset is snapped to: far above the
+# rounding left in it, far below the quadrature's finest mesh step
+_REL_SNAP = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -139,33 +143,47 @@ def probe_contains(S: Probe, x):
 def _ball_box_measure(S: BallBoxIntersection, rel_tol: float = 1e-4) -> float:
     """Deterministic bracket quadrature for measure(ball ∩ box).
 
-    Dyadically refines a grid over the box; cells entirely inside the
-    intersection give a lower bound, cells merely touching give an upper
-    bound.  Refinement stops once the bracket width is <= rel_tol * tau
-    where tau is the ball volume, or before a mesh of more than
-    _MESH_CAP centres would be built; the last bracket's midpoint is
-    returned.
+    The measure depends only on the norm, the radius, the box's sides and
+    the wrapped offset (corner - center + 1/2) mod 1 - 1/2 of its corner
+    from the ball's center, so the quadrature runs in center-relative
+    coordinates and is cached on those.  A probe built as center - h mod 1
+    gets that offset back only to within a few ulps, which vary with the
+    center, so the offset is snapped to multiples of _REL_SNAP: probes of
+    one shape placed at different centers then share one quadrature.
     """
     ball, box = S.ball, S.box
-    d = ball.norm.dim
-    tau = ball.norm.nu * ball.radius**d
-    sides = np.asarray(box.sides)
-    corner = np.asarray(box.corner)
-    center = np.asarray(ball.center)
+    rel = (np.asarray(box.corner) - np.asarray(ball.center) + 0.5) % 1.0 - 0.5
+    rel = np.round(rel / _REL_SNAP) * _REL_SNAP
+    return _ball_box_bracket(ball.norm, ball.radius, tuple(rel.tolist()), tuple(box.sides), rel_tol)
+
+
+@lru_cache(maxsize=64)
+def _ball_box_bracket(norm: Norm, radius: float, rel: tuple, sides: tuple, rel_tol: float) -> float:
+    """Measure of the ball of `radius` at the origin ∩ the box with corner
+    `rel` and `sides`.  Dyadically refines a grid over the box; cells
+    entirely inside the intersection give a lower bound, cells merely
+    touching give an upper bound.  Refinement stops once the bracket width
+    is <= rel_tol * tau where tau is the ball volume, or before a mesh of
+    more than _MESH_CAP centres would be built; the last bracket's midpoint
+    is returned.
+    """
+    d = norm.dim
+    tau = norm.nu * radius**d
+    sides = np.asarray(sides)
     # grid resolution doubles each round; start coarse
     for k in range(3, 12):
         npc = 1 << k  # cells per axis
         if npc**d > _MESH_CAP:
             break
         step = sides / npc
-        axes = [corner[i] + (np.arange(npc) + 0.5) * step[i] for i in range(d)]
+        axes = [rel[i] + (np.arange(npc) + 0.5) * step[i] for i in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
-        centers = np.stack([m.ravel() for m in mesh], axis=-1) % 1.0
-        dist = torus_distance(centers, center, ball.norm)
-        half = ball.norm.length(step / 2.0)  # farthest corner offset of a grid cell
+        centers = np.stack([m.ravel() for m in mesh], axis=-1)
+        dist = norm.length(wrapped_delta(centers, 0.0))
+        half = norm.length(step / 2.0)  # farthest corner offset of a grid cell
         cell_vol = float(np.prod(step))
-        lower = float((dist <= ball.radius - half).sum()) * cell_vol
-        upper = float((dist <= ball.radius + half).sum()) * cell_vol
+        lower = float((dist <= radius - half).sum()) * cell_vol
+        upper = float((dist <= radius + half).sum()) * cell_vol
         if upper - lower <= rel_tol * tau:
             break
     return 0.5 * (lower + upper)

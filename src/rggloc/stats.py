@@ -187,44 +187,75 @@ def _mask(W, grid: GridModel) -> np.ndarray:
     return mask
 
 
-def _pair_sums(cfg: CellConfig, mask: np.ndarray, mask2: np.ndarray):
-    """Exact integer pair counts of the members of W (flat boolean `mask`):
-    (sum_{I in W} C(X_I, 2), sum_{I in W} X_I sum_o X_{I+o} 1[I+o in W']),
-    over the neighbor offsets o wrapped mod m, with W' the flat mask `mask2`.
+# entries of one (|W|, offsets) gather in _pair_sums
+_GATHER = 1 << 15
 
-    With W' = W the second count is twice the neighbor edges inside W; with W'
-    disjoint from W it is the W x W' cross edges, each once.  Only the members
-    are gathered, one offset at a time: the cost is O(|W| |offsets|) and the
-    memory O(|W| d), whatever the lattice size.  Every int64 partial sum is at
-    most sum(X_W) (max X_W + the sum over o of max X_{W+o}); past 2^62 that
-    bound raises OverflowError, as the |E_s| kernel does.
+
+def _members(W, grid: GridModel):
+    """(sorted flat indices of W, its flat boolean mask or None).  A (k, d)
+    integer array of index rows is raveled, sorted and deduplicated with no
+    m^d mask, so a set of a few cells costs O(k log k); anything else goes
+    through `_mask`.  (`np.unique` would do, but its first call in a process
+    takes about 13 ms, more than a certify.)"""
+    if isinstance(W, np.ndarray) and W.dtype.kind in "iu" and W.shape[1:] == (grid.norm.dim,):
+        flat = np.sort(np.ravel_multi_index(W.T, grid.shape))
+        return flat[np.diff(flat, prepend=-1) != 0], None
+    mask = _mask(W, grid)
+    return np.flatnonzero(mask), mask
+
+
+def _pair_sums(cfg: CellConfig, members: np.ndarray, mask2: np.ndarray | None = None):
+    """Exact integer pair counts of W, given by its sorted flat indices
+    `members`: (sum_{I in W} C(X_I, 2), sum_{I in W} X_I sum_o X_{I+o} 1[I+o in W'],
+    sum_{I in W} X_I sum_o X_{I+o}), over the neighbor offsets o wrapped mod m.
+    W' is the flat boolean mask `mask2`, or W itself when that is None, a
+    neighbor's membership then being a binary search in `members`.
+
+    With W' = W the second count is twice the neighbor edges inside W, and the
+    third less the second is the W x W^c cross edges; with W' disjoint from W
+    the second is the W x W' cross edges, each once.  Only the members are
+    gathered, a chunk of offsets at a time: the cost is O(|W| |offsets|)
+    (times log |W| when W' = W) and the memory O(|W| d + _GATHER), whatever
+    the lattice size.  Every int64 partial sum is at most sum(X_W) (max X_W +
+    the sum over o of max X_{W+o}); past 2^62 that bound raises
+    OverflowError, as the |E_s| kernel does.
     """
     grid = cfg.grid
-    members = np.flatnonzero(mask)
     if not len(members):
-        return 0, 0
+        return 0, 0, 0
     xw = cfg.counts[members]
     cells = np.stack(np.unravel_index(members, grid.shape), axis=-1)
-    cross = 0
+    offsets = np.array(neighbor_offsets(grid), dtype=np.int64).reshape(-1, grid.norm.dim)
+    cross = total = 0
     reach = float(xw.max())
-    for o in neighbor_offsets(grid):
-        nb = _translate(grid, cells, o)[:, 0]
-        y = np.where(mask2[nb], cfg.counts[nb], 0)
-        reach += float(y.max())
-        cross += int(xw @ y)
+    # as many offsets at a time as keep the (|W|, chunk) gathers near _GATHER
+    # entries: a single chunk for a few cells, so a small W costs a few
+    # numpy calls, not a few per offset
+    chunk = max(1, _GATHER // len(members))
+    for lo in range(0, len(offsets), chunk):
+        nb = _translate(grid, cells, offsets[lo : lo + chunk])
+        x = cfg.counts[nb]
+        if mask2 is None:
+            pos = np.minimum(np.searchsorted(members, nb), len(members) - 1)
+            keep = members[pos] == nb
+        else:
+            keep = mask2[nb]
+        reach += float(x.max(axis=0).sum(dtype=float))
+        cross += int((xw @ np.where(keep, x, 0)).sum())
+        total += int((xw @ x).sum())
     if xw.sum(dtype=float) * reach >= 2.0**62:
         raise OverflowError("pair counts would not be exact in int64")
-    return int((xw * (xw - 1)).sum()) // 2, cross
+    return int((xw * (xw - 1)).sum()) // 2, cross, total
 
 
 def Q_internal(W, cfg: CellConfig, scales: DerivedScales) -> float:
     """(2/q^2) [sum_W C(X_I,2) + 1/2 sum of neighbor products inside W].
 
-    W (here and in Q_cross) is an iterable of index tuples or a flat boolean
-    mask; the neighbor products are gathered at the members of W only.
+    W (here and in Q_cross) is an iterable of index tuples, a (k, d) integer
+    array of index rows or a flat boolean mask; the neighbor products are
+    gathered at the members of W only.
     """
-    mask = _mask(W, cfg.grid)
-    within, cross2 = _pair_sums(cfg, mask, mask)
+    within, cross2, _ = _pair_sums(cfg, *_members(W, cfg.grid))
     return (2.0 / scales.q**2) * (within + cross2 / 2.0)
 
 
@@ -234,12 +265,11 @@ def Q_cross(W, W2, cfg: CellConfig, scales: DerivedScales) -> float:
     mw2 = _mask(W2, cfg.grid)
     if (mw & mw2).any():
         raise ValueError("Q_cross requires disjoint index sets")
-    return (2.0 / scales.q**2) * _pair_sums(cfg, mw, mw2)[1]
+    return (2.0 / scales.q**2) * _pair_sums(cfg, np.flatnonzero(mw), mw2)[1]
 
 
 def V_count(W, cfg: CellConfig, scales: DerivedScales) -> float:
-    mask = _mask(W, cfg.grid)
-    return float(cfg.counts[mask].sum()) / scales.q
+    return float(cfg.counts[_members(W, cfg.grid)[0]].sum()) / scales.q
 
 
 def h_frac(W, grid: GridModel) -> float:

@@ -36,11 +36,13 @@ from rggloc.extract import (
     Thm1Report,
     _clause_a_probes,
     _densest_ball_center,
+    _densest_window,
     _index_tuples,
+    _tile_counts,
     _top_cells,
 )
-from rggloc.geometry import probe_measure, torus_distance, wrapped_delta
-from rggloc.grid import CellConfig, clique_translate, flat_index, set_diameter, unflat_index
+from rggloc.geometry import BallBoxIntersection, Box, probe_measure, torus_distance, wrapped_delta
+from rggloc.grid import CellConfig, _lattice, clique_translate, flat_index, set_diameter, unflat_index
 from rggloc.stats import Q_internal
 
 
@@ -571,3 +573,142 @@ def test_certify_thm1_matches_definitional_counts(kind, monkeypatch):
             assert rep == _certify_thm1_reference(ps, params, delta=1.0, eps=0.25)
         # A straddles the seam on every axis
         assert (wrapped_delta(reps[1].center, 0.0) < params.r / 2.0).all()
+
+
+def _densest_window_rolls(cells, offsets, m):
+    """Reference: count the points per cell, add the m^d lattice rolled by
+    every -o, and take the first maximum in C order."""
+    d = cells.shape[1]
+    x = np.zeros((m,) * d, dtype=np.int64)
+    np.add.at(x, tuple(cells.T), 1)
+    acc = sum(np.roll(x, tuple(-c for c in o), axis=tuple(range(d))) for o in offsets)
+    return np.array(np.unravel_index(int(np.argmax(acc)), x.shape))
+
+
+def _window_case(dim):
+    grid = build_grid(params_for_p_hat(300.0, 1.0, Norm("l2", dim)), s=5)
+    return np.array(grid.clique_offsets, dtype=np.int64), grid.m
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_densest_window_tie_goes_to_the_lower_flat_index(dim):
+    offsets, m = _window_case(dim)
+    low, high = np.full(dim, 2), np.full(dim, m // 2)
+    # both windows full, so the two tie; the higher one comes first
+    cells = np.concatenate([high + offsets, low + offsets])
+    assert np.array_equal(_densest_window(cells, offsets, m), low)
+    assert np.array_equal(_densest_window_rolls(cells, offsets, m), low)
+    # a lone point ties every anchor that reaches it: the lowest is its cell
+    # minus the offset that is largest in C order
+    point = np.full((1, dim), m // 3)
+    want = _densest_window_rolls(point, offsets, m)
+    assert np.array_equal(want, point[0] - max(map(tuple, offsets)))
+    assert np.array_equal(_densest_window(point, offsets, m), want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_densest_window_wraps_on_every_axis(dim):
+    offsets, m = _window_case(dim)
+    rng = np.random.default_rng(dim)
+    for anchor in (np.full(dim, m - 1), np.full(dim, m - 2), m - offsets.max(axis=0)):
+        full = (anchor + offsets) % m  # every cell of this window, wrapped
+        # fewer points than the window, and no window reaches both them and it
+        noise = rng.integers(m // 2 - 3, m // 2 + 3, (len(offsets) // 2, dim))
+        cells = np.concatenate([noise, full])
+        assert np.array_equal(_densest_window(cells, offsets, m), anchor)
+        assert np.array_equal(_densest_window_rolls(cells, offsets, m), anchor)
+    for k in range(5):  # sparse samples, with many ties
+        cells = rng.integers(0, m, (3 + 7 * k, dim))
+        assert np.array_equal(_densest_window(cells, offsets, m), _densest_window_rolls(cells, offsets, m))
+
+
+def _tile_counts_3d_form(points, kgrid, r, norm):
+    """Reference: `torus_distance` from each point to its 3^d tile centres."""
+    d = norm.dim
+    stride = 1.0 / kgrid
+    own = np.minimum(np.floor(points / stride).astype(np.int64), kgrid - 1)
+    tiles = (own[:, None, :] + _lattice(-1, 2, d)) % kgrid
+    hit = torus_distance(points[:, None, :], (tiles + 0.5) * stride, norm) <= r / 2.0
+    return np.bincount(np.ravel_multi_index(tiles[hit].T, (kgrid,) * d), minlength=kgrid**d)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_tile_counts_match_the_3d_torus_distance_form(kind):
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3, 4):
+        norm = Norm(kind, dim)
+        for r in (0.3, 0.13, 0.07):
+            kgrid = int(math.floor(2.0 / r))
+            stride = 1.0 / kgrid
+            centres = (rng.integers(0, kgrid, (40, dim)) + 0.5) * stride
+            # r/2 from a tile centre along one axis (the closed ball's boundary,
+            # up to rounding), along the diagonal, on tile edges, and at 0
+            axis = np.eye(dim)[rng.integers(0, dim, 40)]
+            edge = rng.integers(0, kgrid, (40, dim)) * stride
+            points = np.concatenate([
+                rng.random((300, dim)),
+                (centres + axis * r / 2.0) % 1.0,
+                (centres - axis * r / 2.0) % 1.0,
+                (centres + r / 2.0 / norm.length(np.ones(dim))) % 1.0,
+                edge,
+                np.where(rng.random((40, dim)) < 0.5, edge, rng.random((40, dim))),
+                np.zeros((1, dim)),
+            ])
+            got = _tile_counts(points, kgrid, r, norm)
+            assert np.array_equal(got, _tile_counts_3d_form(points, kgrid, r, norm))
+            assert got.sum() > 0
+
+
+def _ball_box_measure_at_center(S, rel_tol):
+    """Reference: the bracket quadrature over the box's mesh in absolute
+    coordinates, each mesh centre wrapped and measured to the ball's centre."""
+    ball, box = S.ball, S.box
+    d = ball.norm.dim
+    tau = ball.norm.nu * ball.radius**d
+    sides, corner = np.asarray(box.sides), np.asarray(box.corner)
+    for k in range(3, 12):
+        npc = 1 << k
+        if npc**d > geometry._MESH_CAP:
+            break
+        step = sides / npc
+        axes = [corner[i] + (np.arange(npc) + 0.5) * step[i] for i in range(d)]
+        centers = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1) % 1.0
+        dist = torus_distance(centers, np.asarray(ball.center), ball.norm)
+        half = ball.norm.length(step / 2.0)
+        cell_vol = float(np.prod(step))
+        lower = float((dist <= ball.radius - half).sum()) * cell_vol
+        upper = float((dist <= ball.radius + half).sum()) * cell_vol
+        if upper - lower <= rel_tol * tau:
+            break
+    return 0.5 * (lower + upper)
+
+
+def test_ball_box_measure_is_shared_across_centres():
+    """The centre-relative quadrature equals the per-centre one at centres on
+    and off the seam, for the ball∩box probe of certify_thm1's clause (a),
+    built as _clause_a_probes builds it, and all the centres share one
+    quadrature: the corner offsets, which differ in their last bits, are
+    snapped to one key."""
+    rng = np.random.default_rng(5)
+    for kind, dim, n in (("l1", 1, 2000.0), ("l1", 2, 2000.0), ("l2", 2, 2000.0), ("l2", 3, 300.0), ("l2", 4, 300.0)):
+        params = params_for_p_hat(n, 1.0, Norm(kind, dim))
+        centres = [np.full(dim, 0.999), np.zeros(dim), np.full(dim, 1e-3), *rng.random((3, dim))]
+        misses = geometry._ball_box_bracket.cache_info().misses
+        for c in centres:
+            A = Ball(tuple(c.tolist()), params.r / 2.0, params.norm)
+            half = A.radius * 0.8
+            S = BallBoxIntersection(A, Box(tuple((x - half * 0.2) % 1.0 for x in A.center), (half,) * dim))
+            assert geometry._ball_box_measure(S, 1e-2) == _ball_box_measure_at_center(S, 1e-2)
+        assert geometry._ball_box_bracket.cache_info().misses - misses <= 1
+
+
+def test_ball_box_measure_matches_per_centre_at_the_mesh_cap():
+    """At the default rel_tol an L2 d=2 box that cuts the ball's boundary
+    refines to the 2048^2 mesh cap, where mesh centres come closest to the
+    sphere; the centre-relative value still equals the per-centre one, on and
+    off the seam."""
+    norm = Norm("l2", 2)
+    for c in (np.full(2, 0.999), np.array([0.3141, 0.7182])):
+        A = Ball(tuple(c.tolist()), 0.05, norm)
+        S = BallBoxIntersection(A, Box(tuple((x - 0.015) % 1.0 for x in A.center), (0.06, 0.06)))
+        assert geometry._ball_box_measure(S) == _ball_box_measure_at_center(S, 1e-4)

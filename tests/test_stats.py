@@ -157,13 +157,18 @@ def _assert_pair_sums_match_dense(cfg, scales, rng):
     masks = [np.zeros(n, dtype=bool), one, _mask(clique_translate(grid, anchor), grid)]
     masks += [rng.random(n) < p for p in (0.01, 0.5, 0.999)]
     k = 2.0 / scales.q**2
-    for W in masks + [~W for W in masks]:
+    for i, W in enumerate(masks + [~W for W in masks]):
         within, cross2 = _dense_pair_counts(cfg, W, W)
         cross = _dense_pair_counts(cfg, W, ~W)[1]
-        assert _pair_sums(cfg, W, W) == (within, cross2)
-        assert _pair_sums(cfg, W, ~W) == (within, cross)
+        members = np.flatnonzero(W)
+        # the third count is every neighbor product of W, in W or not
+        assert _pair_sums(cfg, members, ~W) == (within, cross, cross2 + cross)
+        assert _pair_sums(cfg, members) == (within, cross2, cross2 + cross)
         assert Q_internal(W, cfg, scales) == k * (within + cross2 / 2.0)
         assert Q_cross(W, ~W, cfg, scales) == k * cross
+        if i < 4:  # the small sets as (k, d) index rows, raveled with no mask
+            rows = np.argwhere(W.reshape(grid.shape))
+            assert Q_internal(rows, cfg, scales) == k * (within + cross2 / 2.0)
 
 
 def test_pair_sums_match_dense_rolls(l2_grid, l2_scales):
@@ -180,8 +185,11 @@ def test_pair_sums_of_an_empty_set_skip_the_offsets(l2_grid, l2_scales, monkeypa
     cfg = planted_cell_sampler(l2_grid, 1.0, seed=66, replica=0)
     empty = np.zeros(l2_grid.num_cells, dtype=bool)
     monkeypatch.setattr("rggloc.stats._translate", None)
-    assert _pair_sums(cfg.config, empty, empty) == (0, 0)
-    assert _pair_sums(cfg.config, empty, ~empty) == (0, 0)
+    none = np.flatnonzero(empty)
+    assert _pair_sums(cfg.config, none, empty) == (0, 0, 0)
+    assert _pair_sums(cfg.config, none, ~empty) == (0, 0, 0)
+    assert _pair_sums(cfg.config, none) == (0, 0, 0)
+    assert Q_internal(np.zeros((0, 2), dtype=np.int64), cfg.config, l2_scales) == 0.0
     assert Q_cross(empty, ~empty, cfg.config, l2_scales) == 0.0
     assert Q_cross([], clique_translate(l2_grid, cfg.anchor), cfg.config, l2_scales) == 0.0
 
@@ -190,13 +198,41 @@ def test_pair_sums_refuse_int64_overflow(l2_grid):
     # one cell's pair count is exact at 2^30 points; at 2^31 the partial-sum
     # bound sum(X_W) (max X_W + ...) reaches 2^62
     counts = np.zeros(l2_grid.num_cells, dtype=np.int64)
-    mask = np.zeros(l2_grid.num_cells, dtype=bool)
-    mask[7] = True
+    members = np.array([7])
     counts[7] = 2**30
-    assert _pair_sums(CellConfig(counts, l2_grid), mask, mask) == (2**30 * (2**30 - 1) // 2, 0)
+    assert _pair_sums(CellConfig(counts, l2_grid), members) == (2**30 * (2**30 - 1) // 2, 0, 0)
     counts[7] = 2**31
     with pytest.raises(OverflowError):
-        _pair_sums(CellConfig(counts, l2_grid), mask, mask)
+        _pair_sums(CellConfig(counts, l2_grid), members)
+
+
+def test_index_sets_keep_their_forms():
+    """Q, V and Q_cross read a 1-D integer array as the parent tuple form
+    does: at d = 1 its entries are cells in any order, duplicates counted once
+    and a negative entry refused; at d = 2 it is read in pairs.  (k, d) index
+    rows, unsorted and repeated, give the same values as their tuples."""
+    for d, W in ((1, [5, 3, 5, 40]), (2, [5, 3, 7, 0, 5, 3])):
+        grid = tiny_grid(Norm("l2", d), m=9, s=2, n=2.0 * 9**d)
+        scales = derived_scales(grid, delta_tilde=1.0)
+        cfg = sample_cell_config(grid, seed=70, replica=d)
+        cfg.counts[:] += 3  # every neighbor product nonzero
+        arr = np.array(W[: len(W) // d * d]) % grid.m
+        tuples = sorted({tuple(int(c) for c in row) for row in arr.reshape(-1, d)})
+        rows = arr.reshape(-1, d)[::-1]
+        other = [(8,) * d]
+        for form in (arr, rows):
+            assert Q_internal(form, cfg, scales) == Q_internal(tuples, cfg, scales)
+            assert V_count(form, cfg, scales) == V_count(tuples, cfg, scales)
+            assert Q_cross(form, other, cfg, scales) == Q_cross(tuples, other, cfg, scales)
+        want = sum(int(cfg.counts[np.ravel_multi_index(t, grid.shape)]) for t in tuples)
+        assert V_count(rows, cfg, scales) == want / scales.q
+        with pytest.raises(ValueError):
+            Q_cross(rows, tuples[-1:], cfg, scales)
+        for bad in (np.array([-1] * d), np.array([[grid.m] * d])):
+            with pytest.raises(ValueError):
+                Q_internal(bad, cfg, scales)
+            with pytest.raises(ValueError):
+                V_count(bad, cfg, scales)
 
 
 @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
