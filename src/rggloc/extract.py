@@ -38,6 +38,7 @@ from .grid import (
     GridModel,
     _index_tuples,
     _lattice,
+    _unique,
     build_grid,
     set_diameter,
     sgraded_edge_count,
@@ -375,7 +376,7 @@ def _tiles_near(center: np.ndarray, kgrid: int, r: float, norm: Norm) -> np.ndar
     stride = 1.0 / kgrid
     own = np.minimum(np.floor(center / stride).astype(np.int64), kgrid - 1)
     w = int(r * kgrid) + 1
-    axes = [np.unique((c + np.arange(-w, w + 1)) % kgrid) for c in own]
+    axes = [_unique((c + np.arange(-w, w + 1)) % kgrid) for c in own]
     window = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     close = torus_distance((window + 0.5) * stride, center, norm) <= r
     return np.ravel_multi_index(window[close].T, (kgrid,) * d)

@@ -4,12 +4,14 @@ maximal clique sets, s-graded edge counts, hulls, and inscribed balls.
 The torus is cut into m^d cells of side 1/m with m = floor(s/r); cell
 occupancies are independent Poisson(D) with D = n/m^d.  Every lattice
 sampler takes them from one draw, `_draw_cells`, which samples the Poisson
-process as points: N ~ Pois(R m^d D) uniform flat indices over a batch of R
-replicas, plus, on each planted replica, Pois(tau_s (D' - D)) points uniform
-over its translated clique set, which raise those cells to Poisson(D') by
-superposition.  It counts them with `np.add.at` into an (R, m^d) buffer
-that the caller owns: the replica loop reuses one float64 buffer and
-allocates no counts per replica, and a single config is one int64 row.
+process as points: from one generator for a batch of R replicas, or from
+one generator per row, N ~ Pois(B m^d D) uniform flat indices over the
+generator's B rows, plus, on each planted row, Pois(tau_s (D' - D)) points
+uniform over its translated clique set, which raise those cells to
+Poisson(D') by superposition.  It counts them with `np.add.at` into an
+(R, m^d) buffer that the caller owns: the replica loop reuses one float64
+buffer and allocates no counts per replica, and a single config is one
+int64 row.
 The integer cell
 metric d(I,J) is the smallest integer z such that interior points of the two
 cells can be closer than z cell widths; for monotone norms this has the
@@ -42,8 +44,8 @@ Every lattice stencil takes one wrapped-slice path.  `_wrapped_slices` maps
 an offset o (mod m) to the at most 2^d pairs of slices (a, b) for which
 x[..., a] and x[..., b] line up each cell I with I + o on the torus.
 `_shift_sum` gathers each shift through them into one reused buffer, and the
-s-graded edge count contracts each pair with a batched row-times-column
-product, a BLAS dot on float64:
+s-graded edge count contracts each pair, cached with its weight per
+(norm, s, m), with a batched row-times-column product, a BLAS dot on float64:
 |E_s| = sum_I C(X_I, 2) + sum_{o in H} sum_I X_I X_{I+o}, with H one offset
 of each {o, -o} pair of the neighbour offsets, so half the stencil and no
 shifted copy.  On a tiny grid an offset with o = -o mod m (o = 2 at m = 4)
@@ -181,6 +183,24 @@ def _rows(members, grid: GridModel) -> np.ndarray:
 def _index_tuples(flat: np.ndarray, shape: tuple) -> tuple:
     """The index tuples of C-order flat cell indices into `shape`, as Python ints."""
     return tuple(zip(*(c.tolist() for c in np.unravel_index(flat, shape))))
+
+
+def _unique(a) -> np.ndarray:
+    """np.unique(a): the sorted distinct values of a, flattened, by a sort and
+    a neighbour compare.  numpy 2.4's np.unique (and np.setdiff1d, which
+    calls it) takes about 12 ms on its first call in a process."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def _setdiff(a, b) -> np.ndarray:
+    """np.setdiff1d(a, b): the sorted distinct values of a not in b."""
+    a, b = _unique(a), _unique(b)
+    if not len(b):
+        return a
+    return a[b[np.minimum(np.searchsorted(b, a), len(b) - 1)] != a]
 
 
 def _translate(grid: GridModel, anchors, offsets) -> np.ndarray:
@@ -492,7 +512,7 @@ def is_maximal_clique_set(members, grid: GridModel) -> bool:
     if len(cells) == 0 or set_diameter(cells, grid) > grid.s:
         return False
     near = _translate(grid, cells[:1], neighbor_offsets(grid))
-    cand = np.setdiff1d(near, np.ravel_multi_index(cells.T, grid.shape))
+    cand = _setdiff(near, np.ravel_multi_index(cells.T, grid.shape))
     cand = np.stack(np.unravel_index(cand, grid.shape), axis=-1)
     blocks = _metric_blocks(cand, cells, grid.norm, grid.m)
     return not any((b.max(axis=1) <= grid.s).any() for b in blocks)
@@ -509,42 +529,78 @@ def coarsen(ps: PointSet, grid: GridModel) -> CellConfig:
     return CellConfig(np.bincount(flat, minlength=grid.num_cells), grid)
 
 
-def _draw_cells(g: np.random.Generator, grid: GridModel, out: np.ndarray, Dp: float | None = None,
-                plant_all: bool = False):
-    """Count R = len(out) independent cell configurations from g into `out`, a
+def _draw_cells(g, grid: GridModel, out: np.ndarray, Dp: float | None = None, plant_all: bool = False):
+    """Count R = len(out) independent cell configurations into `out`, a
     caller-owned C-contiguous (R, m^d) buffer that it zeroes first, drawn as
     points and added per cell by `np.add.at`.  The replica loop passes one
     float64 buffer for all its chunks, which its |E_s| contraction reads
     with BLAS dots; a single config passes a fresh int64 row, which
     `CellConfig` keeps without a copy.
 
-    Without Dp, the draw is N ~ Pois(R m^d D) uniform flat indices
-    replica * m^d + cell in [0, R m^d): every cell of every replica is an
-    independent Poisson(D).  With Dp > D it draws, in order, R coins (a
-    replica is planted when its coin is < 1/2, or always with `plant_all`),
-    R uniform anchor cells, the same base points, and K ~ Pois(P tau_s
+    `g` is one generator for all R rows, or a sequence of R generators, one
+    per row.  Each generator draws its B rows (R, or 1) alone and in this
+    order, so a row of its own is the draw of a batch of one from the same
+    generator.  Without Dp it draws N ~ Pois(B m^d D) uniform flat indices
+    row * m^d + cell in [0, B m^d): every cell of every row is an
+    independent Poisson(D).  With Dp > D it draws, in order, B coins (a row
+    is planted when its coin is < 1/2, or always with `plant_all`), B
+    uniform anchor cells, the same base points, and K ~ Pois(P tau_s
     (Dp - D)) extra points, uniform over the tau_s translated clique-set
-    cells of the P planted replicas.  By superposition those cells are then
+    cells of its P planted rows.  By superposition those cells are then
     Poisson(Dp), independently.  The counts are small integers, exact in
-    either dtype.
+    either dtype.  Generators are independent, so it takes every
+    generator's coins and anchors, then every generator's base points,
+    counted in one `np.add.at` and freed before the extra points are drawn
+    and counted in one more (holding a 65536-row chunk's base points longer
+    cost about 1 000 more minor page faults and 2 ms a draw).
 
-    Returns (anchors, clique): the anchors as (R, d) index rows and each
-    replica's clique-set cells as (R, tau_s) flat indices in
-    `clique_offsets` order, both None without Dp."""
+    Returns (anchors, clique, totals): the anchors as (R, d) index rows and
+    each row's clique-set cells as (R, tau_s) flat indices in
+    `clique_offsets` order, both None without Dp; and each row's point count
+    N + K as an (R,) int64 array when every row has its own generator, else
+    None (a shared generator's points are not split by row)."""
     R, M = out.shape
+    gens = [g] if isinstance(g, np.random.Generator) else g
+    B = R // len(gens)
+    D, tau = grid.D, grid.tau_s
     anchors = clique = None
     if Dp is not None:
-        planted = (g.random(R) < 0.5) | plant_all
-        anchors = np.stack(np.unravel_index(g.integers(M, size=R), grid.shape), axis=-1)
+        coins, anchor_cells = zip(*[((gb.random(B) < 0.5) | plant_all, gb.integers(M, size=B)) for gb in gens])
+        planted = _joined(coins)
+        anchors = np.stack(np.unravel_index(_joined(anchor_cells), grid.shape), axis=-1)
         clique = _translate(grid, anchors, grid.clique_offsets)
     flat = out.reshape(-1)
-    one = out.dtype.type(1)  # np.add.at takes a 40x slower loop for a 1 of another dtype
     flat.fill(0)
-    np.add.at(flat, g.integers(R * M, size=g.poisson(R * M * grid.D)), one)
+    totals = _add_points(  # the base points list dies here, before the extra points are drawn
+        flat, [gb.integers(B * M, size=gb.poisson(B * M * D)) for gb in gens], [B * M] * len(gens)
+    )
     if Dp is not None:
+        own = [np.count_nonzero(c) * tau for c in coins]  # each generator's clique-set cells
         cells = (clique + M * np.arange(R)[:, None])[planted].ravel()
-        np.add.at(flat, cells[g.integers(cells.size, size=g.poisson(cells.size * (Dp - grid.D)))], one)
-    return anchors, clique
+        extra = [gb.integers(k, size=gb.poisson(k * (Dp - D))) for gb, k in zip(gens, own)]
+        totals = [n + k for n, k in zip(totals, _add_points(flat, extra, own, cells))]
+    return anchors, clique, (np.array(totals, dtype=np.int64) if B == 1 else None)
+
+
+def _add_points(flat: np.ndarray, parts: list, widths: list, cells=None) -> list:
+    """Add 1 to `flat` once per point, in one `np.add.at`: part b's indices
+    are shifted (in place) past the widths of the parts before it, then
+    mapped through `cells` when it is given.  Returns each part's point
+    count."""
+    start = 0
+    for points, width in zip(parts, widths):
+        if start:
+            points += start
+        start += width
+    idx = _joined(parts)
+    one = flat.dtype.type(1)  # np.add.at takes a 40x slower loop for a 1 of another dtype
+    np.add.at(flat, idx if cells is None else cells[idx], one)
+    return [len(points) for points in parts]
+
+
+def _joined(parts: list) -> np.ndarray:
+    """np.concatenate(parts), without copying a lone part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def sample_cell_config(grid: GridModel, seed: int, replica: int = 0) -> CellConfig:
@@ -584,38 +640,53 @@ def _shift_sum(x: np.ndarray, offsets) -> np.ndarray:
     return out
 
 
-def _pair_product(x: np.ndarray, o, m: int) -> np.ndarray:
-    """sum_I x[..., I] * x[..., I + o] over the trailing len(o) axes, wrapped
-    mod m: each wrapped slice pair is contracted along its last axis by a
-    batched (1, k) @ (k, 1) product, a BLAS dot on float64, and summed over
-    the other trailing axes."""
-    rest = tuple(range(1 - len(o), 0))
-    return sum(
-        (x[a][..., None, :] @ x[b][..., :, None])[..., 0, 0].sum(axis=rest) for a, b in _wrapped_slices(o, m)
-    )
+@lru_cache(maxsize=64)
+def _edge_terms_cached(kind: str, dim: int, s: int, m: int) -> tuple:
+    """The terms of 2|E_s| as (weight, wrapped slice pairs): the zero offset
+    with weight 1, then one offset o of each {o, -o} pair of the neighbour
+    offsets, with weight 2, or 1 when o = -o mod m (tiny grids), which
+    already meets every pair of cells twice."""
+    terms = [(1, tuple(_wrapped_slices((0,) * dim, m)))]
+    for o in _neighbor_offsets_cached(kind, dim, s, m):
+        fwd, back = tuple(c % m for c in o), tuple(-c % m for c in o)
+        if fwd <= back:
+            terms.append((1 + (fwd < back), tuple(_wrapped_slices(o, m))))
+    return tuple(terms)
 
 
-def _sgraded_edge_counts(x: np.ndarray, grid: GridModel) -> np.ndarray:
+def _pair_product(x: np.ndarray, pairs) -> np.ndarray:
+    """sum_I x[..., I] * x[..., I + o] over the trailing axes that o's wrapped
+    slice pairs cut: each pair is contracted along its last axis by a batched
+    (1, k) @ (k, 1) product, a BLAS dot on float64, and summed over the
+    other trailing axes."""
+    rest = tuple(range(2 - len(pairs[0][0]), 0))
+    out = 0
+    for a, b in pairs:
+        dots = (x[a][..., None, :] @ x[b][..., :, None])[..., 0, 0]
+        out = out + (dots.sum(axis=rest) if rest else dots)
+    return out
+
+
+def _sgraded_edge_counts(x: np.ndarray, grid: GridModel, total=None) -> np.ndarray:
     """|E_s| of each lattice in x, shape (..., *grid.shape), as int64.
+    `total` is each lattice's sum x when the caller already knows it (the
+    replica loop takes it from the draw); otherwise it is summed here.
 
     Twice the count is sum x^2 - sum x, plus 2 sum_I X_I X_{I+o} for one
     offset o of each {o, -o} pair of `neighbor_offsets`, plus the product
-    once for an offset with o = -o mod m (tiny grids), which already meets
-    every pair of cells twice.  Every partial sum is a sum of nonnegative
-    integer products, at most (sum x)^2, so the count is exact in any
-    summation order when (sum x)^2 stays below 2^53 for float64 input or
-    2^62 for int64; past its bound it raises OverflowError."""
-    d, m = grid.norm.dim, grid.m
-    axes = tuple(range(x.ndim - d, x.ndim))
-    total = x.sum(axis=axes)
+    once for an offset with o = -o mod m (`_edge_terms_cached`).  Every
+    partial sum is an integer of size at most (sum x)^2, so the count is
+    exact in any summation order when (sum x)^2 stays below 2^53 for
+    float64 input or 2^62 for int64; past its bound it raises OverflowError."""
+    d = grid.norm.dim
+    if total is None:
+        total = x.sum(axis=tuple(range(x.ndim - d, x.ndim)))
     bound = 2.0**53 if x.dtype.kind == "f" else 2.0**62
-    if (total.astype(float) ** 2 >= bound).any():
+    if (np.asarray(total, dtype=float) ** 2 >= bound).any():
         raise OverflowError(f"edge count would not be exact in {x.dtype}")
-    twice = _pair_product(x, (0,) * d, m) - total
-    for o in neighbor_offsets(grid):
-        fwd, back = tuple(c % m for c in o), tuple(-c % m for c in o)
-        if fwd <= back:
-            twice += (1 + (fwd < back)) * _pair_product(x, o, m)
+    twice = -total
+    for weight, pairs in _edge_terms_cached(grid.norm.kind, d, grid.s, grid.m):
+        twice = twice + weight * _pair_product(x, pairs)
     twice = twice.astype(np.int64)
     assert (twice % 2 == 0).all()
     return twice // 2
@@ -736,20 +807,17 @@ def inscribed_ball_diameter(members, grid: GridModel) -> float:
     cells = _rows(members, grid)
     if not len(cells):
         raise ValueError("empty index set")
-    ring = np.setdiff1d(
-        _translate(grid, cells, _lattice(-1, 2, d)), np.ravel_multi_index(cells.T, grid.shape)
-    )
+    ring = _setdiff(_translate(grid, cells, _lattice(-1, 2, d)), np.ravel_multi_index(cells.T, grid.shape))
     if not len(ring):
         raise ValueError("the member cells cover the torus")
     ring = np.stack(np.unravel_index(ring, grid.shape), axis=-1)
     # per-axis gap table, in cell units: [cell coordinate, position in the
     # cell, ring coordinate], with positions the _REFINE sub-grid offsets and
     # then the middle
-    cv, ci = np.unique(cells, return_inverse=True)
-    rv, ri = np.unique(ring, return_inverse=True)
+    cv, rv = _unique(cells), _unique(ring)
+    ci, ri = np.searchsorted(cv, cells), np.searchsorted(rv, ring)
     frac = np.append((np.arange(_REFINE) + 0.5) / _REFINE, 0.5)
     table = _interval_dists((cv[:, None] + frac)[..., None], rv, 1.0, period=m)[0]
-    ci, ri = ci.reshape(cells.shape), ri.reshape(ring.shape)
     chunk = max(1, 2**16 // len(ring))
 
     def dist(w, pos):

@@ -3,9 +3,10 @@
 Streams are counter-based (Philox) and keyed by a splitmix64 mix of
 (seed, k), so stream k is fixed regardless of how many other streams run or
 in what order.  The single-draw samplers key k by replica; the estimators'
-shared replica loop, `sampling._replicas`, keys it by chunk of replicas,
-which is one replica per stream on grids of more than 512 cells.  Each
-lattice stream feeds one `grid._draw_cells` call, which takes from it, in
+shared replica loop, `sampling._replicas`, keys it by chunk of 65536
+replicas on grids of at most 512 cells and by replica above, where a
+chunk's rows each have their own stream.  Each lattice stream feeds the
+rows it draws in one `grid._draw_cells` call, which takes from it, in
 order, the mixture coins and the anchor cells (when it draws a tilt), the
 base points' total and cells, and the planted points' total and cells.
 """

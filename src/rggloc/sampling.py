@@ -8,13 +8,15 @@ Three routes to the upper tail:
     weights stay bounded by 2,
   * exact enumeration on tiny grids as an unbiasedness oracle.
 
-Every lattice replica here comes from one chunked loop, `_replicas`: chunk c
-is one call of `grid._draw_cells` on the stream (seed, c), 65536
-replicas on grids of at most 512 cells and one above, redrawn into one
-float64 work buffer, and it yields the chunk's counts, mixture log weights
-and |E_s|.  The importance estimator
+Every lattice replica here comes from one chunked loop, `_replicas`, which
+redraws each chunk into one float64 work buffer and yields its counts,
+mixture log weights and |E_s|.  On grids of at most 512 cells chunk c is
+65536 replicas from the stream (seed, c); above, a chunk is
+floor(2^19 / m^d) rows and replica k is a row drawn alone from the stream
+(seed, k), all the chunk's rows counted by one `grid._draw_cells` call and
+contracted by one `grid._sgraded_edge_counts`.  The importance estimator
 draws its chunks with the tilt, rejection sampling and the rejection
-estimate without it.  `planted_cell_sampler` is a chunk of one, planted
+estimate without it.  `planted_cell_sampler` is a draw of one, planted
 whatever its coin, so on grids of more than 512 cells it is replica k of
 the estimator; `sample_cell_config` is the same stream's base points.
 """
@@ -107,7 +109,7 @@ def planted_cell_sampler(
         warnings.warn("tilted mean D' <= D; falling back to the nominal law")
         return WeightedSample(sample_cell_config(grid, seed, replica), 0.0, ())
     counts = np.empty((1, grid.num_cells), dtype=np.int64)
-    anchors, clique = _draw_cells(rng.generator(seed, replica), grid, counts, Dp, plant_all=True)
+    anchors, clique, _ = _draw_cells(rng.generator(seed, replica), grid, counts, Dp, plant_all=True)
     S = int(counts[0, clique[0]].sum())
     lw = float(_mixture_log_weight(S, D, Dp, grid.tau_s))
     anchor = tuple(anchors[0].tolist())
@@ -148,27 +150,36 @@ def _estimate_from_log_u(logu: np.ndarray, n: int, t: float, threshold: float, m
 
 
 def _replicas(grid: GridModel, seed: int, replicas: int, Dp: float | None = None):
-    """The replicas in chunks of R (65536 on grids of at most 512 cells, else
-    1): chunk c is one `grid._draw_cells(rng.generator(seed, c), grid, X, Dp)`,
-    so above 512 cells replica k has stream (seed, k).  Yields each chunk's
-    (R, m^d) float64 counts X, its mixture log weights (zeros without Dp) and
-    its int64 |E_s|.  X is a view of one work buffer allocated before the
-    first chunk and redrawn in place for each next one, so the loop allocates
-    no counts per replica; a caller that keeps counts copies them first
-    (`CellConfig` does, casting to int64)."""
+    """The replicas in chunks, each yielding its (R, m^d) float64 counts X,
+    its mixture log weights (zeros without Dp) and its int64 |E_s|.
+
+    On grids of at most 512 cells chunk c is 65536 replicas, drawn by one
+    `grid._draw_cells(rng.generator(seed, c), grid, X, Dp)`.  Above, a chunk
+    is floor(2^19 / m^d) rows (at least one), and row j of the chunk starting
+    at replica lo is the draw `_draw_cells(rng.generator(seed, lo + j), grid,
+    X[j:j+1], Dp)` would make, so replica k has stream (seed, k); the rows
+    are counted in one call, which also gives each row's total to the
+    chunk's one |E_s| contraction.  X is a view of one work buffer, at most
+    2^19 cells (4 MB) above 512 cells, allocated before the first chunk and
+    redrawn in place for each next one, so the loop allocates no counts per
+    replica; a caller that keeps counts copies them first (`CellConfig`
+    does, casting to int64)."""
     if replicas < 1:
         raise ValueError("need at least 1 replica")
-    chunk = 65536 if grid.num_cells <= 512 else 1
-    buf = np.empty((min(chunk, replicas), grid.num_cells))
+    M = grid.num_cells
+    batched = M <= 512
+    chunk = 65536 if batched else max(1, 2**19 // M)
+    buf = np.empty((min(chunk, replicas), M))
     for c, lo in enumerate(range(0, replicas, chunk)):
         R = min(chunk, replicas - lo)
         X = buf[:R]
-        _, clique = _draw_cells(rng.generator(seed, c), grid, X, Dp)
+        g = rng.generator(seed, c) if batched else [rng.generator(seed, lo + j) for j in range(R)]
+        _, clique, total = _draw_cells(g, grid, X, Dp)
         if Dp is None:
             lw = np.zeros(R)
         else:
             lw = _mixture_log_weight(X[np.arange(R)[:, None], clique].sum(axis=1), grid.D, Dp, grid.tau_s)
-        yield X, lw, _sgraded_edge_counts(X.reshape(R, *grid.shape), grid)
+        yield X, lw, _sgraded_edge_counts(X.reshape(R, *grid.shape), grid, total)
 
 
 def importance_estimate_tail(

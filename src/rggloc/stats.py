@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellConfig, GridModel, _translate, neighbor_offsets, sgraded_edge_count
+from .grid import CellConfig, GridModel, _translate, _unique, neighbor_offsets, sgraded_edge_count
 
 
 @dataclass(frozen=True)
@@ -193,13 +193,11 @@ _GATHER = 1 << 15
 
 def _members(W, grid: GridModel):
     """(sorted flat indices of W, its flat boolean mask or None).  A (k, d)
-    integer array of index rows is raveled, sorted and deduplicated with no
-    m^d mask, so a set of a few cells costs O(k log k); anything else goes
-    through `_mask`.  (`np.unique` would do, but its first call in a process
-    takes about 13 ms, more than a certify.)"""
+    integer array of index rows is raveled, sorted and deduplicated
+    (`grid._unique`) with no m^d mask, so a set of a few cells costs
+    O(k log k); anything else goes through `_mask`."""
     if isinstance(W, np.ndarray) and W.dtype.kind in "iu" and W.shape[1:] == (grid.norm.dim,):
-        flat = np.sort(np.ravel_multi_index(W.T, grid.shape))
-        return flat[np.diff(flat, prepend=-1) != 0], None
+        return _unique(np.ravel_multi_index(W.T, grid.shape)), None
     mask = _mask(W, grid)
     return np.flatnonzero(mask), mask
 

@@ -40,8 +40,10 @@ from rggloc.grid import (
     _metric_blocks,
     _metric_from_delta,
     _neighbor_offsets_cached,
+    _setdiff,
     _sgraded_edge_counts,
     _shift_sum,
+    _unique,
     clique_translate,
     dump_config_csv,
     is_maximal_clique_set,
@@ -527,8 +529,11 @@ def test_sgraded_edge_counts_refuse_int64_overflow(tiny, l2_grid):
         x[1].flat[0] = 3 * 10**9  # (sum x)^2 > 2^62
         with pytest.raises(OverflowError):
             _sgraded_edge_counts(x, grid)
+        with pytest.raises(OverflowError):  # the same bound on totals the caller passes
+            _sgraded_edge_counts(x, grid, np.array([0, 3 * 10**9]))
         x[1].flat[0] = 2 * 10**9
         assert _sgraded_edge_counts(x, grid).tolist() == [0, 2 * 10**9 * (2 * 10**9 - 1) // 2]
+        assert _sgraded_edge_counts(x, grid, np.array([0, 2 * 10**9])).tolist() == [0, 2 * 10**9 * (2 * 10**9 - 1) // 2]
 
 
 def test_sgraded_edge_counts_agree_in_float64_and_int64():
@@ -548,8 +553,21 @@ def test_sgraded_edge_counts_refuse_float64_past_2_53(tiny, l2_grid):
         x[1].flat[0] = top + 1
         with pytest.raises(OverflowError):
             _sgraded_edge_counts(x, grid)
+        with pytest.raises(OverflowError):  # the same bound on totals the caller passes
+            _sgraded_edge_counts(x, grid, np.array([0, top + 1]))
         x[1].flat[0] = top
         assert _sgraded_edge_counts(x, grid).tolist() == [0, top * (top - 1) // 2]
+        assert _sgraded_edge_counts(x, grid, np.array([0, top])).tolist() == [0, top * (top - 1) // 2]
+
+
+def test_unique_and_setdiff_match_numpy():
+    rs = np.random.default_rng(5)
+    arrays = (np.array([], dtype=np.int64), np.array([3]), rs.integers(0, 9, size=(7, 2)),
+              rs.integers(-5, 50, size=200))
+    for a in arrays:
+        assert np.array_equal(_unique(a), np.unique(a))
+        for b in arrays + (a.ravel()[:3], rs.integers(0, 60, size=30)):
+            assert np.array_equal(_setdiff(a, b), np.setdiff1d(a, b))
 
 
 def test_tiny_grid_complete_graph(tiny):

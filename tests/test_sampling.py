@@ -32,16 +32,15 @@ from rggloc.sampling import _estimate_from_log_u, _mixture_log_weight, _planted_
 
 
 def _edge_pairs(grid):
-    """Unordered pairs of distinct adjacent flat cells, from a set of (I, I+o)."""
-    m, d = grid.m, grid.norm.dim
-    pairs = set()
-    for f in range(grid.num_cells):
-        I = unflat_index(f, m, d)
-        for o in neighbor_offsets(grid):
-            fj = flat_index(tuple((c + oc) % m for c, oc in zip(I, o)), m)
-            if fj != f:
-                pairs.add((min(f, fj), max(f, fj)))
-    arr = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    """Unordered pairs of distinct adjacent flat cells, from every (I, I+o)."""
+    m = grid.m
+    f = np.arange(grid.num_cells)
+    cells = np.stack(np.unravel_index(f, grid.shape), axis=-1)
+    pairs = []
+    for o in neighbor_offsets(grid):
+        fj = np.ravel_multi_index(((cells + np.array(o)) % m).T, grid.shape)
+        pairs.append(np.stack([np.minimum(f, fj), np.maximum(f, fj)], axis=1)[f != fj])
+    arr = np.unique(np.concatenate(pairs).reshape(-1, 2), axis=0)
     return arr[:, 0], arr[:, 1]
 
 
@@ -259,14 +258,17 @@ def test_importance_replica_floor(tiny):
 
 
 def test_importance_chunks_reproduce_per_replica_and_batched_streams(tiny):
-    # above 512 cells each replica is a chunk of one with its own stream, as the
-    # per-replica path drew it; on the tiny grid chunk 0 is the single batched
-    # stream, so both estimates are equal, not only statistically close
+    # above 512 cells replica k is row k - lo of a chunk of floor(2^19 / m^d)
+    # rows with its own stream (seed, k), as the per-replica path drew it; on
+    # the tiny grid chunk 0 is the single batched stream, so both estimates
+    # are equal, not only statistically close
     readme = build_grid(params_for_p_hat(1e3, 1.0, Norm("linf", 1)), 5)
-    assert readme.num_cells == 5000
-    est = importance_estimate_tail(readme, t=1.0, replicas=100, seed=11)
-    assert est.log_prob > -math.inf
-    assert est == _per_replica_reference(readme, 1.0, 100, 11)
+    big = build_grid(params_for_p_hat(1e4, 1.0, Norm("linf", 1)), 5)
+    assert readme.num_cells == 5000 and big.num_cells == 50000
+    for grid, replicas in ((readme, 100), (readme, 250), (big, 100)):  # chunks 100; 104/104/42; 10 x 10
+        est = importance_estimate_tail(grid, t=1.0, replicas=replicas, seed=11)
+        assert est.log_prob > -math.inf
+        assert est == _per_replica_reference(grid, 1.0, replicas, 11)
     est = importance_estimate_tail(tiny, t=1.0, replicas=10_000, seed=46)
     assert est.log_prob > -math.inf
     assert est == _batched_reference(tiny, 1.0, 10_000, 46)
@@ -283,6 +285,16 @@ def test_sgraded_edge_count_matches_pair_set(kind):
                 want = _pair_edge_counts(X, _edge_pairs(grid)).tolist()
                 assert [sgraded_edge_count(CellConfig(x, grid)) for x in X] == want
                 assert _sgraded_edge_counts(X.reshape(6, *grid.shape), grid).tolist() == want
+                # the replica loop's form: float64 rows drawn each from its own
+                # stream, with their totals taken from the draw
+                Y = np.empty((6, grid.num_cells))
+                gens = [rng.generator(54, m * 10 + s + 100 * j) for j in range(6)]
+                _, _, total = _draw_cells(gens, grid, Y, 2.0 * grid.D)
+                assert total.dtype == np.int64 and total.tolist() == Y.sum(axis=1).tolist()
+                want = _pair_edge_counts(Y.astype(np.int64), _edge_pairs(grid)).tolist()
+                y = Y.reshape(6, *grid.shape)
+                assert _sgraded_edge_counts(y, grid, total).tolist() == want
+                assert _sgraded_edge_counts(y, grid).tolist() == want
 
 
 def test_rejection_conditional_accepts_only_above_threshold(tiny):
@@ -361,20 +373,30 @@ def test_rejection_needs_a_replica(tiny):
 
 
 def test_replica_chunks_are_redrawn_into_one_buffer():
-    # every chunk is a view of the same work buffer, and what it yields is
-    # the fresh draw of its stream with its weight and edge count
+    # above 512 cells a chunk is floor(2^19 / m^d) rows, the last one partial;
+    # every chunk is a view of the same work buffer, and its row j is the
+    # fresh draw of stream (seed, lo + j) alone, with its weight and edge count
     readme = build_grid(params_for_p_hat(1e3, 1.0, Norm("linf", 1)), 5)
-    Dp, seed = _planted_mean(readme, 1.0), 17
-    first = None
-    for c, (X, lw, edges) in enumerate(_replicas(readme, seed, 40, Dp)):
-        first = X if first is None else first
-        assert X.shape == (1, readme.num_cells) and np.shares_memory(X, first)
-        out = np.empty((1, readme.num_cells))
-        _, clique = _draw_cells(rng.generator(seed, c), readme, out, Dp)
-        assert np.array_equal(X, out)
-        assert lw.tolist() == [_mixture_log_weight(out[0, clique[0]].sum(), readme.D, Dp, readme.tau_s)]
-        assert edges.dtype == np.int64 and edges.tolist() == [sgraded_edge_count(CellConfig(out[0], readme))]
-    assert c == 39
+    big = build_grid(params_for_p_hat(1e4, 1.0, Norm("linf", 1)), 5)
+    for grid, replicas, Dp, sizes in (
+        (readme, 250, _planted_mean(readme, 1.0), [104, 104, 42]),
+        (big, 25, None, [10, 10, 5]),
+    ):
+        seed, lo, first, got = 17, 0, None, []
+        for X, lw, edges in _replicas(grid, seed, replicas, Dp):
+            first = X if first is None else first
+            assert X.shape == (len(X), grid.num_cells) and np.shares_memory(X, first)
+            assert edges.dtype == np.int64 and len(lw) == len(edges) == len(X)
+            for j in range(len(X)):
+                out = np.empty((1, grid.num_cells))
+                _, clique, total = _draw_cells(rng.generator(seed, lo + j), grid, out, Dp)
+                assert np.array_equal(X[j], out[0]) and total.tolist() == [out.sum()]
+                weight = 0.0 if Dp is None else _mixture_log_weight(out[0, clique[0]].sum(), grid.D, Dp, grid.tau_s)
+                assert lw[j] == weight
+                assert edges[j] == sgraded_edge_count(CellConfig(out[0], grid))
+            lo += len(X)
+            got.append(len(X))
+        assert got == sizes
 
 
 def test_unreliable_flag_on_hopeless_tail(tiny):
