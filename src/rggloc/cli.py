@@ -4,11 +4,12 @@ Usage:
     rggloc <grid-info|simulate|condition|extract|tail|verify> --config <path>
            [--seed N] [--out DIR] [--input DIR]
 
-All commands read one flat JSON config (schema `runconfig.v1`), write their
-results as CSV/JSON plus self-contained SVG plots, and finish by writing
-`manifest.json` listing every output file with a sha256 checksum.  With a
-fixed config and seed, all outputs except the manifest timestamp are
-byte-identical across runs.
+All commands read one flat JSON config (schema `runconfig.v1`) and write
+their results as CSV/JSON plus self-contained SVG plots.  `main` builds the
+model, makes the output directory, runs the subcommand, and after it returns
+writes `manifest.json` listing every file the subcommand wrote with a sha256
+checksum.  With a fixed config and seed, all outputs except the manifest
+timestamp are byte-identical across runs.
 
 Exit codes: 0 ok, 1 verification failure, 2 config error, 3 budget exhausted,
 4 overflow (a count too large to sum exactly).
@@ -82,6 +83,23 @@ def _section(raw: dict, key: str) -> dict:
     return section
 
 
+def _real(value) -> float:
+    """A JSON number; a bool or a string is a TypeError, not 1.0 or its parse."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return float(value)
+
+
+def _integer(value) -> int:
+    """A JSON number with no fractional part (5, 5.0 or 1e3); 1.9, a bool or
+    a string is a TypeError, not 1 or its parse."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
+    return value
+
+
 def _field(section: dict, path: str, cast, default=None):
     """The value at the last key of the dotted `path`, or `default`, through
     `cast`; a value of a JSON type `cast` cannot take (null, a list for a
@@ -108,32 +126,32 @@ def load_config(path: str, seed=None, out=None) -> RunConfig:
     for key in ("n", "d", "norm"):
         if key not in model:
             raise ConfigError(f"model.{key} is required")
-    norm = Norm(model["norm"], _field(model, "model.d", int))
-    n = _field(model, "model.n", float)
-    delta_star = _field(model, "model.delta_star", float, 0.1)
+    norm = Norm(model["norm"], _field(model, "model.d", _integer))
+    n = _field(model, "model.n", _real)
+    delta_star = _field(model, "model.delta_star", _real, 0.1)
     has_r = "r" in model
     has_p = "p_target" in model
     if has_r == has_p:
         raise ConfigError("exactly one of model.r / model.p_target is required")
     if has_r:
-        params = ModelParams(n, _field(model, "model.r", float), norm, delta_star)
+        params = ModelParams(n, _field(model, "model.r", _real), norm, delta_star)
     else:
-        params = params_for_p_hat(n, _field(model, "model.p_target", float), norm, delta_star)
+        params = params_for_p_hat(n, _field(model, "model.p_target", _real), norm, delta_star)
     cond = _section(raw, "conditioning")
     sampler = _section(raw, "sampler")
     return RunConfig(
         params=params,
-        s=_field(_section(raw, "grid"), "grid.s", int, 5),
-        delta_tilde=_field(cond, "conditioning.delta_tilde", float, 1.0),
-        eps=_field(cond, "conditioning.eps", float, 0.25),
-        eps_tilde=_field(cond, "conditioning.eps_tilde", float, 0.2),
+        s=_field(_section(raw, "grid"), "grid.s", _integer, 5),
+        delta_tilde=_field(cond, "conditioning.delta_tilde", _real, 1.0),
+        eps=_field(cond, "conditioning.eps", _real, 0.25),
+        eps_tilde=_field(cond, "conditioning.eps_tilde", _real, 0.2),
         method=str(sampler.get("method", "planted")),
-        replicas=_field(sampler, "sampler.replicas", int, 200),
-        budget=_field(sampler, "sampler.budget", int, 10000),
-        t=_field(sampler, "sampler.t", float, 1.0),
-        seed=int(seed) if seed is not None else _field(raw, "seed", int, 0),
+        replicas=_field(sampler, "sampler.replicas", _integer, 200),
+        budget=_field(sampler, "sampler.budget", _integer, 10000),
+        t=_field(sampler, "sampler.t", _real, 1.0),
+        seed=int(seed) if seed is not None else _field(raw, "seed", _integer, 0),
         output_dir=Path(out) if out is not None else _field(raw, "output_dir", Path, "rggloc-out"),
-        n_sweep=_field(model, "model.n_sweep", lambda vs: [float(v) for v in vs], []),
+        n_sweep=_field(model, "model.n_sweep", lambda vs: [_real(v) for v in vs], []),
         raw=raw,
     )
 
@@ -160,10 +178,13 @@ def _write_manifest(cfg: RunConfig, derived: dict, files: list):
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _derived_quantities(cfg: RunConfig) -> dict:
-    p = cfg.params
-    grid = build_grid(p, cfg.s)
-    scales = derived_scales(grid, cfg.delta_tilde, p.delta_star, cfg.eps_tilde)
+def _model(cfg: RunConfig) -> tuple:
+    """The run's lattice model and its derived scales: (grid, scales)."""
+    grid = build_grid(cfg.params, cfg.s)
+    return grid, derived_scales(grid, cfg.delta_tilde, cfg.params.delta_star, cfg.eps_tilde)
+
+
+def _derived_quantities(p: ModelParams, grid, scales) -> dict:
     return {
         "mu": p.mu,
         "tau": p.tau,
@@ -186,17 +207,20 @@ def _derived_quantities(cfg: RunConfig) -> dict:
     }
 
 
-def _svg_header(w: int, h: int) -> str:
-    return (
+def _write_svg(path: Path, w: int, h: int, parts: list):
+    """Write a w x h SVG document on a white ground with `parts` as its body,
+    one element string a line."""
+    header = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">\n<rect width="{w}" height="{h}" fill="white"/>\n'
     )
+    path.write_text("\n".join([header, *parts, "</svg>\n"]))
 
 
 def _svg_histogram(values, title: str, path: Path, bins: int = 30):
     values = np.asarray(values, dtype=float)
     W, H, pad = 640, 400, 45
-    parts = [_svg_header(W, H)]
+    parts = []
     if len(values):
         hist, edges = np.histogram(values, bins=bins)
         top = max(1, hist.max())
@@ -216,15 +240,13 @@ def _svg_histogram(values, title: str, path: Path, bins: int = 30):
     parts.append(
         f'<line x1="{pad}" y1="{H - pad}" x2="{W - pad}" y2="{H - pad}" stroke="black"/>'
     )
-    parts.append("</svg>\n")
-    path.write_text("\n".join(parts))
+    _write_svg(path, W, H, parts)
 
 
 def _svg_heatmap(cfg_counts, grid, highlight, title: str, path: Path):
     """Cell-count heatmap (d=2) or top-cell strip (other d), highlight outlined."""
     W, H, pad = 640, 640, 40
-    parts = [_svg_header(W, H)]
-    parts.append(f'<text x="{pad}" y="20" font-size="14">{title}</text>')
+    parts = [f'<text x="{pad}" y="20" font-size="14">{title}</text>']
     if grid.norm.dim == 2 and grid.m <= 256:
         m = grid.m
         lat = cfg_counts.reshape(grid.shape)
@@ -261,8 +283,7 @@ def _svg_heatmap(cfg_counts, grid, highlight, title: str, path: Path):
                 f'<rect x="{pad + k * bw:.2f}" y="{H - pad - bh:.2f}" '
                 f'width="{bw * 0.9:.2f}" height="{bh:.2f}" fill="{color}"/>'
             )
-    parts.append("</svg>\n")
-    path.write_text("\n".join(parts))
+    _write_svg(path, W, H, parts)
 
 
 def _svg_lineplot(xs, series, ref, title: str, path: Path):
@@ -283,7 +304,7 @@ def _svg_lineplot(xs, series, ref, title: str, path: Path):
     def Y(v):
         return H - pad - (H - 2 * pad) * (v - lo) / (hi - lo)
 
-    parts = [_svg_header(W, H), f'<text x="{pad}" y="20" font-size="14">{title}</text>']
+    parts = [f'<text x="{pad}" y="20" font-size="14">{title}</text>']
     colors = ["#4878a8", "#a84848", "#48a860", "#7848a8"]
     for k, (label, ys) in enumerate(series):
         pts = " ".join(f"{X(x):.1f},{Y(v):.1f}" for x, v in zip(xs, ys) if math.isfinite(v))
@@ -300,29 +321,25 @@ def _svg_lineplot(xs, series, ref, title: str, path: Path):
     parts.append(
         f'<line x1="{pad}" y1="{H - pad}" x2="{W - pad}" y2="{H - pad}" stroke="black"/>'
     )
-    parts.append("</svg>\n")
-    path.write_text("\n".join(parts))
+    _write_svg(path, W, H, parts)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_grid_info(cfg: RunConfig) -> int:
-    derived = _derived_quantities(cfg)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+def cmd_grid_info(cfg: RunConfig, grid, scales, input_dir) -> tuple:
+    derived = _derived_quantities(cfg.params, grid, scales)
     out = cfg.output_dir / "derived.json"
     out.write_text(json.dumps(derived, indent=2, sort_keys=True))
     width = max(len(k) for k in derived)
     for k in sorted(derived):
         print(f"{k:<{width}}  {derived[k]}")
-    _write_manifest(cfg, derived, [out])
-    return 0
+    return 0, [out]
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, grid, scales, input_dir) -> tuple:
     p = cfg.params
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
 
     def one(k):
         ps = sample_ppp(p.n, p.norm, cfg.seed, replica=k)
@@ -340,17 +357,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
         f"edge count over {cfg.replicas} replicas (mu={p.mu:.4g})",
         svg,
     )
-    derived = _derived_quantities(cfg)
-    _write_manifest(cfg, derived, [csv, svg])
     print(f"simulate: {cfg.replicas} replicas -> {csv}")
-    return 0
+    return 0, [csv, svg]
 
 
-def cmd_condition(cfg: RunConfig) -> int:
-    p = cfg.params
-    grid = build_grid(p, cfg.s)
-    scales = derived_scales(grid, cfg.delta_tilde, p.delta_star, cfg.eps_tilde)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+def cmd_condition(cfg: RunConfig, grid, scales, input_dir) -> tuple:
+    """Exits 3 when rejection sampling accepts nothing within its budget."""
     files = []
     profiles = []
     if cfg.method == "rejection":
@@ -393,21 +405,14 @@ def cmd_condition(cfg: RunConfig) -> int:
     prof = cfg.output_dir / "profiles.json"
     prof.write_text(json.dumps({"summary": summary, "profiles": profiles}, sort_keys=True))
     files.append(prof)
-    _write_manifest(cfg, _derived_quantities(cfg), files)
     print(f"condition: {summary}")
-    if cfg.method == "rejection" and not accepted:
-        return 3
-    return 0
+    return (3 if cfg.method == "rejection" and not accepted else 0), files
 
 
-def cmd_extract(cfg: RunConfig, input_dir: str | None = None) -> int:
+def cmd_extract(cfg: RunConfig, grid, scales, input_dir) -> tuple:
     """Certify stored or freshly sampled configs one at a time: each config and
     its report are dropped once the report is written to `thm2_reports.json`,
     and only the first config is kept, for the heatmap."""
-    p = cfg.params
-    grid = build_grid(p, cfg.s)
-    scales = derived_scales(grid, cfg.delta_tilde, p.delta_star, cfg.eps_tilde)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     if input_dir:
         paths = [
             f
@@ -438,15 +443,14 @@ def cmd_extract(cfg: RunConfig, input_dir: str | None = None) -> int:
         out.write("\n]\n")
     svg = cfg.output_dir / "localization_heatmap.svg"
     _svg_heatmap(counts0, grid, frakP0, f"cell counts with extracted set ({name0})", svg)
-    _write_manifest(cfg, _derived_quantities(cfg), [rep_file, svg])
     print(f"extract: {npass}/{nrep} pass localization at eps_tilde={cfg.eps_tilde}")
-    return 0
+    return 0, [rep_file, svg]
 
 
-def cmd_tail(cfg: RunConfig) -> int:
+def cmd_tail(cfg: RunConfig, grid, scales, input_dir) -> tuple:
+    """Estimate the tail on the lattice of each sweep n, at the config's p_hat."""
     p0 = cfg.params
     sweep = cfg.n_sweep or [p0.n]
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     p_hat_target = p0.p_hat
     for n in sweep:
@@ -479,15 +483,14 @@ def cmd_tail(cfg: RunConfig) -> int:
         f"normalized log-tail vs log10 n (dashed: -I({cfg.t:g}) = {ref:.5f})",
         svg,
     )
-    _write_manifest(cfg, _derived_quantities(cfg), [csv, svg])
     for row in rows:
         print(
             f"n={row[0]:g} normalized estimate {row[6]:.4f} in [{row[4]:.4f}, {row[5]:.4f}]"
         )
-    return 0
+    return 0, [csv, svg]
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, grid, scales, input_dir) -> tuple:
     """Desk-scale self-checks; writes a pass/fail report, exits 1 on failure."""
     p = cfg.params
     checks = []
@@ -495,8 +498,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     def check(name, ok, detail=""):
         checks.append({"name": name, "pass": bool(ok), "detail": str(detail)})
 
-    derived = _derived_quantities(cfg)
-    grid = build_grid(p, cfg.s)
     # edge-count oracle agreement on a few instances
     ok = True
     for k in range(5):
@@ -527,22 +528,29 @@ def cmd_verify(cfg: RunConfig) -> int:
     c1 = sample_cell_config(grid, cfg.seed, replica=0)
     c2 = sample_cell_config(grid, cfg.seed, replica=0)
     check("determinism", bool((c1.counts == c2.counts).all()))
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     rep = cfg.output_dir / "verify_report.json"
     all_pass = all(c["pass"] for c in checks)
     rep.write_text(json.dumps({"pass": all_pass, "checks": checks}, indent=2, sort_keys=True))
-    _write_manifest(cfg, derived, [rep])
     for c in checks:
         print(f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']} {c['detail']}")
-    return 0 if all_pass else 1
+    return (0 if all_pass else 1), [rep]
+
+
+# Each subcommand takes (cfg, grid, scales, input_dir), writes its result
+# files into cfg.output_dir and returns (exit code, the files it wrote).
+COMMANDS = {
+    "grid-info": cmd_grid_info,
+    "simulate": cmd_simulate,
+    "condition": cmd_condition,
+    "extract": cmd_extract,
+    "tail": cmd_tail,
+    "verify": cmd_verify,
+}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="rggloc", description=__doc__)
-    parser.add_argument(
-        "command",
-        choices=["grid-info", "simulate", "condition", "extract", "tail", "verify"],
-    )
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None)
@@ -550,17 +558,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, seed=args.seed, out=args.out)
-        if args.command == "grid-info":
-            return cmd_grid_info(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "condition":
-            return cmd_condition(cfg)
-        if args.command == "extract":
-            return cmd_extract(cfg, input_dir=args.input)
-        if args.command == "tail":
-            return cmd_tail(cfg)
-        return cmd_verify(cfg)
+        grid, scales = _model(cfg)
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        code, files = COMMANDS[args.command](cfg, grid, scales, args.input)
+        _write_manifest(cfg, _derived_quantities(cfg.params, grid, scales), files)
+        return code
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -39,7 +39,7 @@ from .grid import (
     sample_cell_config,
 )
 from .points import ModelParams, PointSet
-from .stats import derived_scales, exact_poisson_tail, log_poisson_pmf
+from .stats import derived_scales, exact_poisson_tail, log_poisson_pmf, z_exponent
 
 LOG2 = math.log(2.0)
 
@@ -284,8 +284,7 @@ def planted_continuum_sampler(
     g = rng.generator(seed, replica)
     base_count = int(g.poisson(params.n))
     base = g.random((base_count, d))
-    p_hat = params.p_hat
-    z = max(p_hat / 4.0, 3.0 * p_hat / 4.0 - 0.5)
+    z = z_exponent(params.p_hat)
     k = int(math.ceil(math.sqrt(2.0 * delta * params.mu) + params.n**z))
     center = np.full(d, 0.5)
     planted = np.empty((k, d))

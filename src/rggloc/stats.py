@@ -25,13 +25,25 @@ class DerivedScales:
     w: float
     a: float
     M: float
-    z: float
-    alpha: float
-    beta: float
-    gamma: float
     xi: float
     p_hat: float
     n: float
+
+    @property
+    def z(self) -> float:
+        return z_exponent(self.p_hat)
+
+    @property
+    def alpha(self) -> float:
+        return min(1.0 - self.p_hat / 2.0 - self.a / 2.0, self.p_hat / 2.0 - self.a / 2.0)
+
+    @property
+    def beta(self) -> float:
+        return self.p_hat / 2.0 - self.a / 4.0
+
+    @property
+    def gamma(self) -> float:
+        return self.p_hat - 2.0 * self.a
 
     @property
     def n_a(self) -> float:
@@ -52,6 +64,12 @@ class DerivedScales:
     @property
     def n_gamma(self) -> float:
         return self.n**self.gamma
+
+
+def z_exponent(p_hat: float) -> float:
+    """The exponent z = max(p/4, 3p/4 - 1/2) of the n^z excess points a planted
+    configuration carries beyond sqrt(2 t mu)."""
+    return max(p_hat / 4.0, 3.0 * p_hat / 4.0 - 0.5)
 
 
 def xi_from_eps(eps_tilde: float, tau_s: int) -> float:
@@ -77,10 +95,6 @@ def derived_scales(
         w=grid.tau_s * grid.D,
         a=a,
         M=max(grid.D * n**a, n**a),
-        z=max(p_hat / 4.0, 3.0 * p_hat / 4.0 - 0.5),
-        alpha=min(1.0 - p_hat / 2.0 - a / 2.0, p_hat / 2.0 - a / 2.0),
-        beta=p_hat / 2.0 - a / 4.0,
-        gamma=p_hat - 2.0 * a,
         xi=xi_from_eps(eps_tilde, grid.tau_s),
         p_hat=p_hat,
         n=n,

@@ -31,6 +31,14 @@ def _grid_and_scales(run):
     return grid, derived_scales(grid, run.delta_tilde, run.params.delta_star, run.eps_tilde)
 
 
+def _assert_manifest_lists_outputs(out: Path):
+    """manifest.json names every other file in `out`, each with its sha256."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir() if f.name != "manifest.json"
+    }
+
+
 def _write_config(tmp_path, **overrides):
     cfg = {
         "schema": "runconfig.v1",
@@ -63,6 +71,7 @@ def test_grid_info_writes_derived(tmp_path, capsys):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["schema"] == "manifest.v1"
     assert "derived.json" in manifest["files"]
+    _assert_manifest_lists_outputs(tmp_path / "out")
 
 
 def test_simulate_csv_and_svg(tmp_path):
@@ -74,6 +83,7 @@ def test_simulate_csv_and_svg(tmp_path):
     svg = (tmp_path / "out" / "edge_histogram.svg").read_text()
     assert svg.startswith("<svg")
     assert "</svg>" in svg
+    _assert_manifest_lists_outputs(tmp_path / "out")
 
 
 def test_simulate_output_does_not_depend_on_the_thread_count(tmp_path, monkeypatch):
@@ -93,6 +103,7 @@ def test_condition_planted_profiles(tmp_path):
     doc = json.loads((tmp_path / "out" / "profiles.json").read_text())
     assert doc["summary"]["method"] == "planted"
     assert len(doc["profiles"]) == 4
+    _assert_manifest_lists_outputs(tmp_path / "out")
 
 
 def test_condition_defaults_to_planted(tmp_path):
@@ -154,6 +165,8 @@ def test_extract_from_stored_samples(tmp_path):
         for f in sorted((tmp_path / "out").glob("planted_*.csv"))
     )
     assert (out2 / "thm2_reports.json").read_text() == "[\n" + joined + "\n]\n"
+    _assert_manifest_lists_outputs(tmp_path / "out")
+    _assert_manifest_lists_outputs(out2)
 
 
 def test_condition_rejection_writes_the_first_50_of_all_acceptances(tmp_path):
@@ -174,6 +187,7 @@ def test_condition_rejection_writes_the_first_50_of_all_acceptances(tmp_path):
     assert (out / "profiles.json").read_text() == json.dumps(
         {"summary": summary, "profiles": profiles}, sort_keys=True
     )
+    _assert_manifest_lists_outputs(out)
 
 
 def _run_cli(*args, **environ) -> subprocess.CompletedProcess:
@@ -266,6 +280,7 @@ def test_tail_table_reports_estimator_health(tmp_path):
     ess, n_hits, unreliable = row.split(",")[-3:]
     assert 0.0 < float(ess) <= int(n_hits) <= 100
     assert unreliable == str(int(float(ess) < 10.0))
+    _assert_manifest_lists_outputs(tmp_path / "out")
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -300,6 +315,16 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ({}, {"grid": {"s": [5]}}, "grid.s has the wrong JSON type: [5]"),
     ({"n_sweep": 1000}, {}, "model.n_sweep has the wrong JSON type: 1000"),
     ({}, {"output_dir": 5}, "output_dir has the wrong JSON type: 5"),
+    # an integer field takes no fraction, bool or string, and a real field no
+    # bool or string: each would run as its floor, 1 / 0 or its parse
+    ({"d": 1.9}, {}, "model.d has the wrong JSON type: 1.9"),
+    ({}, {"grid": {"s": 5.7}}, "grid.s has the wrong JSON type: 5.7"),
+    ({}, {"sampler": {"replicas": True}}, "sampler.replicas has the wrong JSON type: true"),
+    ({}, {"sampler": {"budget": "500"}}, 'sampler.budget has the wrong JSON type: "500"'),
+    ({}, {"seed": 1.5}, "seed has the wrong JSON type: 1.5"),
+    ({"r": "0.1"}, {}, 'model.r has the wrong JSON type: "0.1"'),
+    ({}, {"sampler": {"t": False}}, "sampler.t has the wrong JSON type: false"),
+    ({"n_sweep": [1000, "1e4"]}, {}, 'model.n_sweep has the wrong JSON type: [1000, "1e4"]'),
 ])
 def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, model, top, where):
     # float(None), int([5]), iterating 1000 and Path(5) raise TypeError,
@@ -337,6 +362,7 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys):
     )
     assert main(["condition", "--config", str(cfg)]) == 3
     capsys.readouterr()
+    _assert_manifest_lists_outputs(tmp_path / "out")
 
 
 def test_condition_with_no_budget_is_a_config_error(tmp_path, capsys):
@@ -358,3 +384,4 @@ def test_verify_reproducible_and_green(tmp_path):
     ma.pop("timestamp")
     mb.pop("timestamp")
     assert ma == mb
+    _assert_manifest_lists_outputs(outa)
