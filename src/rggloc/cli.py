@@ -35,6 +35,9 @@ from .extract import _top_cells, certify_thm2, localization_profile
 from .geometry import Norm
 from .grid import (
     CellConfig,
+    _cell_set,
+    _in_sorted,
+    _index_rows,
     build_grid,
     coarsen,
     dump_config_csv,
@@ -45,7 +48,7 @@ from .grid import (
 from .ldp import normalized_log_tail, rate_function, sandwich_bounds
 from .points import ModelParams, edge_count, edge_count_bruteforce, params_for_p_hat, sample_ppp
 from .sampling import _replicas, importance_estimate_tail, planted_cell_sampler
-from .stats import _mask, derived_scales, exact_poisson_tail, poisson_tail_bound
+from .stats import derived_scales, exact_poisson_tail, poisson_tail_bound
 
 
 class ConfigError(ValueError):
@@ -84,8 +87,9 @@ def _section(raw: dict, key: str) -> dict:
 
 
 def _real(value) -> float:
-    """A JSON number; a bool or a string is a TypeError, not 1.0 or its parse."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A finite JSON number; a bool, a string, NaN (which compares false), an
+    infinity or an integer past float range is a TypeError."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise TypeError(value)
     return float(value)
 
@@ -247,6 +251,7 @@ def _svg_heatmap(cfg_counts, grid, highlight, title: str, path: Path):
     """Cell-count heatmap (d=2) or top-cell strip (other d), highlight outlined."""
     W, H, pad = 640, 640, 40
     parts = [f'<text x="{pad}" y="20" font-size="14">{title}</text>']
+    hl = _cell_set(highlight, grid)
     if grid.norm.dim == 2 and grid.m <= 256:
         m = grid.m
         lat = cfg_counts.reshape(grid.shape)
@@ -263,8 +268,7 @@ def _svg_heatmap(cfg_counts, grid, highlight, title: str, path: Path):
                     f'width="{cw:.2f}" height="{cw:.2f}" '
                     f'fill="rgb({shade},{shade},255)"/>'
                 )
-        for I in highlight:
-            i, j = I
+        for i, j in _index_rows(hl, grid.shape).tolist():
             parts.append(
                 f'<rect x="{pad + j * cw:.2f}" y="{pad + i * cw:.2f}" '
                 f'width="{cw:.2f}" height="{cw:.2f}" fill="none" '
@@ -274,11 +278,11 @@ def _svg_heatmap(cfg_counts, grid, highlight, title: str, path: Path):
         order = _top_cells(cfg_counts, 50)
         top = max(1, int(cfg_counts[order[0]]))
         bw = (W - 2 * pad) / len(order)
-        hl = _mask(highlight, grid)
+        marked = _in_sorted(order, hl)
         for k, f in enumerate(order):
             v = int(cfg_counts[f])
             bh = (H - 2 * pad) * v / top
-            color = "red" if hl[f] else "#4878a8"
+            color = "red" if marked[k] else "#4878a8"
             parts.append(
                 f'<rect x="{pad + k * bw:.2f}" y="{H - pad - bh:.2f}" '
                 f'width="{bw * 0.9:.2f}" height="{bh:.2f}" fill="{color}"/>'

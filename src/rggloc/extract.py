@@ -36,6 +36,8 @@ from .geometry import (
 from .grid import (
     CellConfig,
     GridModel,
+    _in_sorted,
+    _index_rows,
     _index_tuples,
     _lattice,
     _unique,
@@ -92,11 +94,6 @@ def _top_cells(counts: np.ndarray, k: int) -> np.ndarray:
     bound = np.partition(blocks, blocks.size - k)[blocks.size - k]
     above = np.flatnonzero(counts >= bound)
     return above[np.argsort(-counts[above], kind="stable")[:k]]
-
-
-def _index_rows(flat: np.ndarray, shape: tuple) -> np.ndarray:
-    """C-order flat cell indices into `shape` as (k, d) int64 index rows."""
-    return np.stack(np.unravel_index(flat, shape), axis=1)
 
 
 def _report_json(report, schema: str, **cells) -> str:
@@ -175,8 +172,7 @@ def certify_thm2(
     ratio = grid.tau_s / scales.q
     # every cell outside frakI counts at most M, below any cell in it, so the
     # largest count outside frakP is in frakI - frakP whenever that is nonempty
-    outside = np.ones(len(frakI), dtype=bool)
-    outside[np.searchsorted(frakI, frakP)] = False
+    outside = ~_in_sorted(frakI, frakP)
     if outside.any():
         top_out = cfg.counts[frakI[outside]].max()
     else:
@@ -290,7 +286,7 @@ def _densest_window(cells: np.ndarray, offsets: np.ndarray, m: int) -> np.ndarra
         view = np.moveaxis(pad, axis, 0)
         view[m:] += view[:w]
         view[:w] = -1
-    return np.array(np.unravel_index(int(np.argmax(pad)), pad.shape)) - w
+    return _index_rows(int(np.argmax(pad)), pad.shape) - w
 
 
 def _densest_ball_center(ps: PointSet, params: ModelParams, s: int = 5) -> tuple:

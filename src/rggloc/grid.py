@@ -175,9 +175,21 @@ def _lattice(lo: int, hi: int, d: int) -> np.ndarray:
     return np.indices((hi - lo,) * d).reshape(d, -1).T + lo
 
 
-def _rows(members, grid: GridModel) -> np.ndarray:
-    """Index tuples (or a (k, d) array) as (k, d) int64 rows reduced mod m."""
-    return np.array(list(members), dtype=np.int64).reshape(-1, grid.norm.dim) % grid.m
+def _cell_set(W, grid: GridModel) -> np.ndarray:
+    """Sorted distinct C-order flat int64 indices of the cell set W: index tuples,
+    (k, d) integer index rows (a 1-D integer array is read in rows of d) or a
+    flat boolean mask of the m^d cells.  A cell off the grid raises ValueError."""
+    if isinstance(W, np.ndarray) and W.dtype == bool:
+        if W.shape != (grid.num_cells,):
+            raise ValueError(f"a cell mask needs shape ({grid.num_cells},), got {W.shape}")
+        return np.flatnonzero(W)
+    rows = np.asarray(W if isinstance(W, np.ndarray) else list(W), dtype=np.int64)
+    return _unique(np.ravel_multi_index(rows.reshape(-1, grid.norm.dim).T, grid.shape))
+
+
+def _index_rows(flat: np.ndarray, shape: tuple) -> np.ndarray:
+    """C-order flat cell indices into `shape` as (k, d) int64 index rows."""
+    return np.stack(np.unravel_index(flat, shape), axis=-1)
 
 
 def _index_tuples(flat: np.ndarray, shape: tuple) -> tuple:
@@ -195,12 +207,17 @@ def _unique(a) -> np.ndarray:
     return a[keep]
 
 
+def _in_sorted(a, b: np.ndarray) -> np.ndarray:
+    """np.isin(a, b) for a sorted b, by one binary search."""
+    if not len(b):
+        return np.zeros(np.shape(a), dtype=bool)
+    return b[np.minimum(np.searchsorted(b, a), len(b) - 1)] == a
+
+
 def _setdiff(a, b) -> np.ndarray:
     """np.setdiff1d(a, b): the sorted distinct values of a not in b."""
-    a, b = _unique(a), _unique(b)
-    if not len(b):
-        return a
-    return a[b[np.minimum(np.searchsorted(b, a), len(b) - 1)] != a]
+    a = _unique(a)
+    return a[~_in_sorted(a, _unique(b))]
 
 
 def _translate(grid: GridModel, anchors, offsets) -> np.ndarray:
@@ -224,6 +241,8 @@ def cell_metric(I: CellIndex, J: CellIndex, grid: GridModel) -> int:
     if len(I) != grid.norm.dim or len(J) != grid.norm.dim:
         raise ValueError("index dimension mismatch")
     m = grid.m
+    if not all(0 <= c < m for c in (*I, *J)):
+        raise ValueError(f"a cell lies off the grid of side {m}: {I}, {J}")
     delta = np.array([min(abs(i - j), m - abs(i - j)) for i, j in zip(I, J)])
     return int(_metric_from_delta(delta, grid.norm))
 
@@ -499,7 +518,7 @@ def enumerate_max_clique_sets(grid: GridModel, anchor: CellIndex, cap: int = 100
 def set_diameter(members, grid: GridModel) -> int:
     """Largest pairwise cell metric within `members` (0 for fewer than two
     cells); exact at any size, in memory linear in the set."""
-    cells = _rows(members, grid)
+    cells = _index_rows(_cell_set(members, grid), grid.shape)
     return max((int(b.max()) for b in _metric_blocks(cells, cells, grid.norm, grid.m)), default=0)
 
 
@@ -508,12 +527,12 @@ def is_maximal_clique_set(members, grid: GridModel) -> bool:
     of every member.  Such a cell neighbours each member, so the candidates
     are the neighbours of any one member.  The empty set is not maximal:
     any one cell can join it."""
-    cells = _rows(members, grid)
+    flat = _cell_set(members, grid)
+    cells = _index_rows(flat, grid.shape)
     if len(cells) == 0 or set_diameter(cells, grid) > grid.s:
         return False
     near = _translate(grid, cells[:1], neighbor_offsets(grid))
-    cand = _setdiff(near, np.ravel_multi_index(cells.T, grid.shape))
-    cand = np.stack(np.unravel_index(cand, grid.shape), axis=-1)
+    cand = _index_rows(_setdiff(near, flat), grid.shape)
     blocks = _metric_blocks(cand, cells, grid.norm, grid.m)
     return not any((b.max(axis=1) <= grid.s).any() for b in blocks)
 
@@ -567,7 +586,7 @@ def _draw_cells(g, grid: GridModel, out: np.ndarray, Dp: float | None = None, pl
     if Dp is not None:
         coins, anchor_cells = zip(*[((gb.random(B) < 0.5) | plant_all, gb.integers(M, size=B)) for gb in gens])
         planted = _joined(coins)
-        anchors = np.stack(np.unravel_index(_joined(anchor_cells), grid.shape), axis=-1)
+        anchors = _index_rows(_joined(anchor_cells), grid.shape)
         clique = _translate(grid, anchors, grid.clique_offsets)
     flat = out.reshape(-1)
     flat.fill(0)
@@ -782,7 +801,7 @@ class IndexUnion:
 
 
 def index_union(members, grid: GridModel) -> IndexUnion:
-    return IndexUnion(members=frozenset(map(tuple, members)), grid=grid)
+    return IndexUnion(members=frozenset(_index_tuples(_cell_set(members, grid), grid.shape)), grid=grid)
 
 
 def inscribed_ball_diameter(members, grid: GridModel) -> float:
@@ -804,13 +823,13 @@ def inscribed_ball_diameter(members, grid: GridModel) -> float:
     """
     m = grid.m
     d = grid.norm.dim
-    cells = _rows(members, grid)
-    if not len(cells):
+    flat = _cell_set(members, grid)
+    if not len(flat):
         raise ValueError("empty index set")
-    ring = _setdiff(_translate(grid, cells, _lattice(-1, 2, d)), np.ravel_multi_index(cells.T, grid.shape))
+    cells = _index_rows(flat, grid.shape)
+    ring = _index_rows(_setdiff(_translate(grid, cells, _lattice(-1, 2, d)), flat), grid.shape)
     if not len(ring):
         raise ValueError("the member cells cover the torus")
-    ring = np.stack(np.unravel_index(ring, grid.shape), axis=-1)
     # per-axis gap table, in cell units: [cell coordinate, position in the
     # cell, ring coordinate], with positions the _REFINE sub-grid offsets and
     # then the middle

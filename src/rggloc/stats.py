@@ -15,7 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellConfig, GridModel, _translate, _unique, neighbor_offsets, sgraded_edge_count
+from .grid import (
+    CellConfig,
+    GridModel,
+    _cell_set,
+    _in_sorted,
+    _index_rows,
+    _translate,
+    neighbor_offsets,
+    sgraded_edge_count,
+)
 
 
 @dataclass(frozen=True)
@@ -190,53 +199,32 @@ def log_poisson_sf(D: float, t: float) -> float:
 # index-set functionals (Q, V, h, P_I) and the Jensen bound
 
 
-def _mask(W, grid: GridModel) -> np.ndarray:
-    """Flat boolean mask of the index tuples in W; a boolean mask passes
-    through.  An index outside the grid raises ValueError."""
-    if isinstance(W, np.ndarray) and W.dtype == bool:
-        return W
-    cells = np.array(list(W), dtype=np.int64).reshape(-1, grid.norm.dim)
-    mask = np.zeros(grid.num_cells, dtype=bool)
-    mask[np.ravel_multi_index(cells.T, grid.shape)] = True
-    return mask
-
-
 # entries of one (|W|, offsets) gather in _pair_sums
 _GATHER = 1 << 15
 
 
-def _members(W, grid: GridModel):
-    """(sorted flat indices of W, its flat boolean mask or None).  A (k, d)
-    integer array of index rows is raveled, sorted and deduplicated
-    (`grid._unique`) with no m^d mask, so a set of a few cells costs
-    O(k log k); anything else goes through `_mask`."""
-    if isinstance(W, np.ndarray) and W.dtype.kind in "iu" and W.shape[1:] == (grid.norm.dim,):
-        return _unique(np.ravel_multi_index(W.T, grid.shape)), None
-    mask = _mask(W, grid)
-    return np.flatnonzero(mask), mask
-
-
-def _pair_sums(cfg: CellConfig, members: np.ndarray, mask2: np.ndarray | None = None):
+def _pair_sums(cfg: CellConfig, members: np.ndarray, others: np.ndarray | None = None):
     """Exact integer pair counts of W, given by its sorted flat indices
     `members`: (sum_{I in W} C(X_I, 2), sum_{I in W} X_I sum_o X_{I+o} 1[I+o in W'],
     sum_{I in W} X_I sum_o X_{I+o}), over the neighbor offsets o wrapped mod m.
-    W' is the flat boolean mask `mask2`, or W itself when that is None, a
-    neighbor's membership then being a binary search in `members`.
+    W' is given by its sorted flat indices `others`, or is W itself when that
+    is None; a neighbor's membership is a binary search in them.
 
     With W' = W the second count is twice the neighbor edges inside W, and the
     third less the second is the W x W^c cross edges; with W' disjoint from W
     the second is the W x W' cross edges, each once.  Only the members are
-    gathered, a chunk of offsets at a time: the cost is O(|W| |offsets|)
-    (times log |W| when W' = W) and the memory O(|W| d + _GATHER), whatever
-    the lattice size.  Every int64 partial sum is at most sum(X_W) (max X_W +
-    the sum over o of max X_{W+o}); past 2^62 that bound raises
-    OverflowError, as the |E_s| kernel does.
+    gathered, a chunk of offsets at a time: the cost is O(|W| |offsets|
+    log |W'|) and the memory O(|W| d + _GATHER), whatever the lattice size.
+    Every int64 partial sum is at most sum(X_W) (max X_W + the sum over o of
+    max X_{W+o}); past 2^62 that bound raises OverflowError, as the |E_s|
+    kernel does.
     """
     grid = cfg.grid
     if not len(members):
         return 0, 0, 0
+    others = members if others is None else others
     xw = cfg.counts[members]
-    cells = np.stack(np.unravel_index(members, grid.shape), axis=-1)
+    cells = _index_rows(members, grid.shape)
     offsets = np.array(neighbor_offsets(grid), dtype=np.int64).reshape(-1, grid.norm.dim)
     cross = total = 0
     reach = float(xw.max())
@@ -247,11 +235,7 @@ def _pair_sums(cfg: CellConfig, members: np.ndarray, mask2: np.ndarray | None = 
     for lo in range(0, len(offsets), chunk):
         nb = _translate(grid, cells, offsets[lo : lo + chunk])
         x = cfg.counts[nb]
-        if mask2 is None:
-            pos = np.minimum(np.searchsorted(members, nb), len(members) - 1)
-            keep = members[pos] == nb
-        else:
-            keep = mask2[nb]
+        keep = _in_sorted(nb, others)
         reach += float(x.max(axis=0).sum(dtype=float))
         cross += int((xw @ np.where(keep, x, 0)).sum())
         total += int((xw @ x).sum())
@@ -263,43 +247,40 @@ def _pair_sums(cfg: CellConfig, members: np.ndarray, mask2: np.ndarray | None = 
 def Q_internal(W, cfg: CellConfig, scales: DerivedScales) -> float:
     """(2/q^2) [sum_W C(X_I,2) + 1/2 sum of neighbor products inside W].
 
-    W (here and in Q_cross) is an iterable of index tuples, a (k, d) integer
-    array of index rows or a flat boolean mask; the neighbor products are
-    gathered at the members of W only.
+    W, here and in every functional below, is any form `grid._cell_set`
+    reads; the neighbor products are gathered at the members of W only.
     """
-    within, cross2, _ = _pair_sums(cfg, *_members(W, cfg.grid))
+    within, cross2, _ = _pair_sums(cfg, _cell_set(W, cfg.grid))
     return (2.0 / scales.q**2) * (within + cross2 / 2.0)
 
 
 def Q_cross(W, W2, cfg: CellConfig, scales: DerivedScales) -> float:
     """(2/q^2) sum_{I in W} sum_{J in N_I ∩ W'} X_I X_J for disjoint W, W'."""
-    mw = _mask(W, cfg.grid)
-    mw2 = _mask(W2, cfg.grid)
-    if (mw & mw2).any():
+    members, others = _cell_set(W, cfg.grid), _cell_set(W2, cfg.grid)
+    if _in_sorted(members, others).any():
         raise ValueError("Q_cross requires disjoint index sets")
-    return (2.0 / scales.q**2) * _pair_sums(cfg, np.flatnonzero(mw), mw2)[1]
+    return (2.0 / scales.q**2) * _pair_sums(cfg, members, others)[1]
 
 
 def V_count(W, cfg: CellConfig, scales: DerivedScales) -> float:
-    return float(cfg.counts[_members(W, cfg.grid)[0]].sum()) / scales.q
+    return float(cfg.counts[_cell_set(W, cfg.grid)].sum()) / scales.q
 
 
 def h_frac(W, grid: GridModel) -> float:
-    return int(_mask(W, grid).sum()) / grid.tau_s
+    return len(_cell_set(W, grid)) / grid.tau_s
 
 
 def sum_rate_Y(W, cfg: CellConfig) -> float:
-    mask = _mask(W, cfg.grid)
-    return float(np.sum(rate_Y(cfg.counts[mask], cfg.grid.D)))
+    return float(np.sum(rate_Y(cfg.counts[_cell_set(W, cfg.grid)], cfg.grid.D)))
 
 
 def jensen_lower_bound(W, cfg: CellConfig, scales: DerivedScales) -> float:
     """V(W)[log(q/w) + log V(W) - log h(W) - 1] <= (1/q) sum_W Y_I."""
-    W = list(W)
-    if not W:
+    members = _cell_set(W, cfg.grid)
+    if not len(members):
         raise ValueError("empty index set")
-    v = V_count(W, cfg, scales)
-    h = h_frac(W, cfg.grid)
+    v = float(cfg.counts[members].sum()) / scales.q
+    h = len(members) / cfg.grid.tau_s
     if v == 0.0:
         # the bound tends to 0 with v (v log v -> 0), and math.log(0) would raise
         return 0.0

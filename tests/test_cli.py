@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -325,6 +326,13 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ({"r": "0.1"}, {}, 'model.r has the wrong JSON type: "0.1"'),
     ({}, {"sampler": {"t": False}}, "sampler.t has the wrong JSON type: false"),
     ({"n_sweep": [1000, "1e4"]}, {}, 'model.n_sweep has the wrong JSON type: [1000, "1e4"]'),
+    # a real field takes no NaN, infinity or integer past float range: NaN ran
+    # on to a manifest with p_hat NaN, and 10^400 ended in exit 4 (overflow)
+    ({"n": math.nan}, {}, "model.n has the wrong JSON type: NaN"),
+    ({"n": math.inf}, {}, "model.n has the wrong JSON type: Infinity"),
+    ({"n": 10**400}, {}, f"model.n has the wrong JSON type: {10**400}"),
+    ({"delta_star": math.nan}, {}, "model.delta_star has the wrong JSON type: NaN"),
+    ({}, {"conditioning": {"eps_tilde": math.nan}}, "conditioning.eps_tilde has the wrong JSON type: NaN"),
 ])
 def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, model, top, where):
     # float(None), int([5]), iterating 1000 and Path(5) raise TypeError,

@@ -30,9 +30,18 @@ from rggloc import (
     sgraded_edge_count,
     tiny_grid,
 )
-from rggloc.grid import clique_translate, neighbor_offsets, unflat_index
+from rggloc.cli import _svg_heatmap
+from rggloc.grid import (
+    _cell_set,
+    clique_translate,
+    index_union,
+    inscribed_ball_diameter,
+    is_maximal_clique_set,
+    neighbor_offsets,
+    set_diameter,
+    unflat_index,
+)
 from rggloc.stats import (
-    _mask,
     _pair_sums,
     log_poisson_pmf,
     log_poisson_sf,
@@ -148,6 +157,13 @@ def _dense_pair_counts(cfg, mask, mask2):
     return int((xw * (xw - 1)).sum()) // 2, cross
 
 
+def _mask(W, grid):
+    """The flat boolean mask of the cell set W."""
+    mask = np.zeros(grid.num_cells, dtype=bool)
+    mask[_cell_set(W, grid)] = True
+    return mask
+
+
 def _assert_pair_sums_match_dense(cfg, scales, rng):
     grid = cfg.grid
     n = grid.num_cells
@@ -162,7 +178,7 @@ def _assert_pair_sums_match_dense(cfg, scales, rng):
         cross = _dense_pair_counts(cfg, W, ~W)[1]
         members = np.flatnonzero(W)
         # the third count is every neighbor product of W, in W or not
-        assert _pair_sums(cfg, members, ~W) == (within, cross, cross2 + cross)
+        assert _pair_sums(cfg, members, np.flatnonzero(~W)) == (within, cross, cross2 + cross)
         assert _pair_sums(cfg, members) == (within, cross2, cross2 + cross)
         assert Q_internal(W, cfg, scales) == k * (within + cross2 / 2.0)
         assert Q_cross(W, ~W, cfg, scales) == k * cross
@@ -186,8 +202,8 @@ def test_pair_sums_of_an_empty_set_skip_the_offsets(l2_grid, l2_scales, monkeypa
     empty = np.zeros(l2_grid.num_cells, dtype=bool)
     monkeypatch.setattr("rggloc.stats._translate", None)
     none = np.flatnonzero(empty)
-    assert _pair_sums(cfg.config, none, empty) == (0, 0, 0)
-    assert _pair_sums(cfg.config, none, ~empty) == (0, 0, 0)
+    assert _pair_sums(cfg.config, none, none) == (0, 0, 0)
+    assert _pair_sums(cfg.config, none, np.flatnonzero(~empty)) == (0, 0, 0)
     assert _pair_sums(cfg.config, none) == (0, 0, 0)
     assert Q_internal(np.zeros((0, 2), dtype=np.int64), cfg.config, l2_scales) == 0.0
     assert Q_cross(empty, ~empty, cfg.config, l2_scales) == 0.0
@@ -313,6 +329,8 @@ def test_jensen_tight_at_uniform(l2_grid, l2_scales):
     slack = h_frac(W, l2_grid) * l2_scales.w / l2_scales.q
     assert lhs - rhs == pytest.approx(slack, abs=1e-12)
     assert lhs >= rhs
+    # the same set as a flat mask, not as m^d coordinates of 0 and 1
+    assert jensen_lower_bound(_mask(W, l2_grid), cfg, l2_scales) == rhs
 
 
 def test_h_frac(l2_grid):
@@ -321,13 +339,63 @@ def test_h_frac(l2_grid):
     assert h_frac([(0, 0), (0, 0)], l2_grid) == pytest.approx(1.0 / 32.0)
 
 
-def test_mask_rejects_cells_outside_the_grid(l2_grid):
+def test_cell_set_rejects_cells_outside_the_grid(l2_grid):
     # m = 50: (1, 0) is flat cell 50, and (0, 50) must not alias it
-    assert np.flatnonzero(_mask([(1, 0), (1, 0)], l2_grid)).tolist() == [50]
-    assert not _mask([], l2_grid).any()
+    mask = np.zeros(l2_grid.num_cells, dtype=bool)
+    mask[50] = True
+    for form in ([(1, 0), (1, 0)], np.array([[1, 0], [1, 0]]), np.array([1, 0]), mask):
+        got = _cell_set(form, l2_grid)
+        assert got.dtype == np.int64 and got.tolist() == [50]
+    assert _cell_set([], l2_grid).tolist() == []
     for cell in ((0, 50), (-1, 0)):
-        with pytest.raises(ValueError):
-            _mask([cell], l2_grid)
+        for form in ([cell], np.array([cell]), np.array(cell)):
+            with pytest.raises(ValueError):
+                _cell_set(form, l2_grid)
+    with pytest.raises(ValueError):  # a mask of another grid
+        _cell_set(mask[:-1], l2_grid)
+
+
+def test_cell_set_readers_agree_on_every_form(l2_grid, l2_scales, tmp_path):
+    """Every reader of a cell set gives one value for the tuple, row and mask
+    forms of a set across the seams, and refuses a cell at coordinate m or -1
+    in the tuple and row forms instead of wrapping it.  The d = 2 grid draws
+    the heatmap, the d = 1 grid its top-cell strip."""
+    line = build_grid(ModelParams(200.0, 0.05, Norm("l1", 1)), 4)
+    for grid, scales in ((l2_grid, l2_scales), (line, derived_scales(line, delta_tilde=1.0))):
+        cfg = sample_cell_config(grid, seed=71)
+        cfg.counts[:] += 2  # every cell and neighbor product nonzero
+        d, m = grid.norm.dim, grid.m
+        W = sorted(clique_translate(grid, (m - 1,) * d))
+        far = [(m // 2,) * d]
+        svg = tmp_path / "heatmap.svg"
+
+        def heatmap(W):
+            _svg_heatmap(cfg.counts, grid, W, "t", svg)
+            return svg.read_text()
+
+        readers = {
+            "set_diameter": lambda W: set_diameter(W, grid),
+            "is_maximal_clique_set": lambda W: is_maximal_clique_set(W, grid),
+            "inscribed_ball_diameter": lambda W: inscribed_ball_diameter(W, grid),
+            "index_union": lambda W: index_union(W, grid).members,
+            "Q_internal": lambda W: Q_internal(W, cfg, scales),
+            "Q_cross": lambda W: Q_cross(W, far, cfg, scales),
+            "Q_cross W'": lambda W: Q_cross(far, W, cfg, scales),
+            "V_count": lambda W: V_count(W, cfg, scales),
+            "h_frac": lambda W: h_frac(W, grid),
+            "sum_rate_Y": lambda W: sum_rate_Y(W, cfg),
+            "jensen_lower_bound": lambda W: jensen_lower_bound(W, cfg, scales),
+            "heatmap": heatmap,
+        }
+        for name, read in readers.items():
+            want = read(W)
+            assert read(np.array(W)) == want, name
+            assert read(_mask(W, grid)) == want, name
+            for c in (m, -1):
+                bad = W[1:] + [(c,) + (0,) * (d - 1)]
+                for form in (bad, np.array(bad)):
+                    with pytest.raises(ValueError):
+                        read(form)
 
 
 def test_events_on_planted_config(l2_grid, l2_scales):
