@@ -9,9 +9,9 @@ one generator per row, N ~ Pois(B m^d D) uniform flat indices over the
 generator's B rows, plus, on each planted row, Pois(tau_s (D' - D)) points
 uniform over its translated clique set, which raise those cells to
 Poisson(D') by superposition.  It counts them with `np.add.at` into an
-(R, m^d) buffer that the caller owns: the replica loop reuses one float64
-buffer and allocates no counts per replica, and a single config is one
-int64 row.
+(R, m^d) buffer that the caller owns: the replica loop reuses one float32
+buffer (and one float64 buffer for a chunk it has to redraw) and allocates
+no counts per replica, and a single config is one int64 row.
 The integer cell
 metric d(I,J) is the smallest integer z such that interior points of the two
 cells can be closer than z cell widths; for monotone norms this has the
@@ -45,14 +45,21 @@ an offset o (mod m) to the at most 2^d pairs of slices (a, b) for which
 x[..., a] and x[..., b] line up each cell I with I + o on the torus.
 `_shift_sum` gathers each shift through them into one reused buffer, and the
 s-graded edge count contracts each pair, cached with its weight per
-(norm, s, m), with a batched row-times-column product, a BLAS dot on float64:
+(norm, s, m), with a batched row-times-column product, a BLAS dot:
 |E_s| = sum_I C(X_I, 2) + sum_{o in H} sum_I X_I X_{I+o}, with H one offset
 of each {o, -o} pair of the neighbour offsets, so half the stencil and no
 shifted copy.  On a tiny grid an offset with o = -o mod m (o = 2 at m = 4)
 meets every pair twice and takes weight 1/2.  Every partial sum is a sum of
 nonnegative integer products, at most (sum X)^2, so the count is exact in any
 summation order while (sum X)^2 stays below 2^53 in float64 (2^62 in int64),
-and raises OverflowError beyond.
+and raises OverflowError beyond.  float32 counts also carry a certificate:
+float32 holds every integer below 2^24, and rounding is monotone, so a sum of
+nonnegative integers whose first inexact step lands at 2^24 or above stays
+there.  A computed sum X^2 below 2^24 therefore proves every product and
+partial sum of that term exact, in any order, at any SIMD width and under any
+BLAS kernel, and each other term, at most sum X^2 by Cauchy-Schwarz, exact too
+(a cell of 2^24 points sticks at 2^24 and makes sum X^2 >= 2^48).  A row past
+it raises OverflowError, and the replica loop redraws its chunk in float64.
 
 Hulls and inscribed balls compare regions with unions of cells through one
 array helper, the per-axis wrapped (min, max) distance from a point to
@@ -552,9 +559,11 @@ def _draw_cells(g, grid: GridModel, out: np.ndarray, Dp: float | None = None, pl
     """Count R = len(out) independent cell configurations into `out`, a
     caller-owned C-contiguous (R, m^d) buffer that it zeroes first, drawn as
     points and added per cell by `np.add.at`.  The replica loop passes one
-    float64 buffer for all its chunks, which its |E_s| contraction reads
-    with BLAS dots; a single config passes a fresh int64 row, which
-    `CellConfig` keeps without a copy.
+    float32 buffer for all its chunks (2 MiB at most above 512 cells, so it
+    stays in a core's L2 cache through the draw and the count), which its
+    |E_s| contraction reads with BLAS dots, and a float64 buffer for a chunk
+    it redraws; a single config passes a fresh int64 row, which `CellConfig`
+    keeps without a copy.
 
     `g` is one generator for all R rows, or a sequence of R generators, one
     per row.  Each generator draws its B rows (R, or 1) alone and in this
@@ -566,12 +575,13 @@ def _draw_cells(g, grid: GridModel, out: np.ndarray, Dp: float | None = None, pl
     uniform anchor cells, the same base points, and K ~ Pois(P tau_s
     (Dp - D)) extra points, uniform over the tau_s translated clique-set
     cells of its P planted rows.  By superposition those cells are then
-    Poisson(Dp), independently.  The counts are small integers, exact in
-    either dtype.  Generators are independent, so it takes every
-    generator's coins and anchors, then every generator's base points,
-    counted in one `np.add.at` and freed before the extra points are drawn
-    and counted in one more (holding a 65536-row chunk's base points longer
-    cost about 1 000 more minor page faults and 2 ms a draw).
+    Poisson(Dp), independently.  The counts are integers, exact in float32
+    below 2^24 points a cell, which the |E_s| certificate covers.
+    Generators are independent, so it takes every generator's coins and
+    anchors, then every generator's base points, counted in one
+    `np.add.at` and freed before the extra points are drawn and counted in
+    one more (holding a 65536-row chunk's base points longer cost about
+    1 000 more minor page faults and 2 ms a draw).
 
     Returns (anchors, clique, totals): the anchors as (R, d) index rows and
     each row's clique-set cells as (R, tau_s) flat indices in
@@ -676,12 +686,16 @@ def _edge_terms_cached(kind: str, dim: int, s: int, m: int) -> tuple:
 def _pair_product(x: np.ndarray, pairs) -> np.ndarray:
     """sum_I x[..., I] * x[..., I + o] over the trailing axes that o's wrapped
     slice pairs cut: each pair is contracted along its last axis by a batched
-    (1, k) @ (k, 1) product, a BLAS dot on float64, and summed over the
-    other trailing axes."""
+    (1, k) @ (k, 1) product, a BLAS dot in x's dtype, and summed over the
+    other trailing axes.  float32 dots are cast to float64 before that sum,
+    so the sums past them, and the weighted sum of terms, stay exact above
+    2^24."""
     rest = tuple(range(2 - len(pairs[0][0]), 0))
     out = 0
     for a, b in pairs:
         dots = (x[a][..., None, :] @ x[b][..., :, None])[..., 0, 0]
+        if dots.dtype == np.float32:
+            dots = dots.astype(np.float64)
         out = out + (dots.sum(axis=rest) if rest else dots)
     return out
 
@@ -696,15 +710,27 @@ def _sgraded_edge_counts(x: np.ndarray, grid: GridModel, total=None) -> np.ndarr
     once for an offset with o = -o mod m (`_edge_terms_cached`).  Every
     partial sum is an integer of size at most (sum x)^2, so the count is
     exact in any summation order when (sum x)^2 stays below 2^53 for
-    float64 input or 2^62 for int64; past its bound it raises OverflowError."""
+    float64 input or 2^62 for int64; past its bound it raises OverflowError.
+    float32 input (the replica loop's) must also pass a certificate: each
+    row's computed sum x^2, the zero-offset term, is below 2^24.  A float32
+    sum of nonnegative integers is exact until a partial sum reaches 2^24,
+    and stays at or above 2^24 from there, so that proves the term exact;
+    every other term is at most sum x^2 (Cauchy-Schwarz) and exact too.
+    The dots are summed past that in float64.  A row that fails raises
+    OverflowError, which the replica loop answers by redrawing the chunk
+    from the same streams in float64."""
     d = grid.norm.dim
     if total is None:
         total = x.sum(axis=tuple(range(x.ndim - d, x.ndim)))
     bound = 2.0**53 if x.dtype.kind == "f" else 2.0**62
     if (np.asarray(total, dtype=float) ** 2 >= bound).any():
         raise OverflowError(f"edge count would not be exact in {x.dtype}")
-    twice = -total
-    for weight, pairs in _edge_terms_cached(grid.norm.kind, d, grid.s, grid.m):
+    (_, zero), *terms = _edge_terms_cached(grid.norm.kind, d, grid.s, grid.m)
+    squares = _pair_product(x, zero)
+    if x.dtype == np.float32 and (squares >= 2.0**24).any():
+        raise OverflowError("edge count not certified exact in float32")
+    twice = squares - total
+    for weight, pairs in terms:
         twice = twice + weight * _pair_product(x, pairs)
     twice = twice.astype(np.int64)
     assert (twice % 2 == 0).all()

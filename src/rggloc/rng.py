@@ -9,6 +9,9 @@ chunk's rows each have their own stream.  Each lattice stream feeds the
 rows it draws in one `grid._draw_cells` call, which takes from it, in
 order, the mixture coins and the anchor cells (when it draws a tilt), the
 base points' total and cells, and the planted points' total and cells.
+A chunk that the loop redraws in float64, because its float32 counts could
+not certify |E_s| exact, is drawn again from fresh generators on the same
+keys, so it takes the same numbers.
 """
 
 import numpy as np

@@ -9,12 +9,13 @@ Three routes to the upper tail:
   * exact enumeration on tiny grids as an unbiasedness oracle.
 
 Every lattice replica here comes from one chunked loop, `_replicas`, which
-redraws each chunk into one float64 work buffer and yields its counts,
-mixture log weights and |E_s|.  On grids of at most 512 cells chunk c is
-65536 replicas from the stream (seed, c); above, a chunk is
-floor(2^19 / m^d) rows and replica k is a row drawn alone from the stream
-(seed, k), all the chunk's rows counted by one `grid._draw_cells` call and
-contracted by one `grid._sgraded_edge_counts`.  The importance estimator
+redraws each chunk into one float32 work buffer and yields its counts,
+mixture log weights and |E_s|; a chunk whose |E_s| float32 cannot certify
+exact is drawn again from the same streams into a float64 buffer.  On
+grids of at most 512 cells chunk c is 65536 replicas from the stream
+(seed, c); above, a chunk is floor(2^19 / m^d) rows and replica k is a row
+drawn alone from the stream (seed, k), all the chunk's rows counted by one
+`grid._draw_cells` call and contracted by one `grid._sgraded_edge_counts`.  The importance estimator
 draws its chunks with the tilt, rejection sampling and the rejection
 estimate without it.  `planted_cell_sampler` is a draw of one, planted
 whatever its coin, so on grids of more than 512 cells it is replica k of
@@ -150,8 +151,9 @@ def _estimate_from_log_u(logu: np.ndarray, n: int, t: float, threshold: float, m
 
 
 def _replicas(grid: GridModel, seed: int, replicas: int, Dp: float | None = None):
-    """The replicas in chunks, each yielding its (R, m^d) float64 counts X,
-    its mixture log weights (zeros without Dp) and its int64 |E_s|.
+    """The replicas in chunks, each yielding its (R, m^d) float32 counts X
+    (float64 on a redraw), its mixture log weights (zeros without Dp) and
+    its int64 |E_s|.
 
     On grids of at most 512 cells chunk c is 65536 replicas, drawn by one
     `grid._draw_cells(rng.generator(seed, c), grid, X, Dp)`.  Above, a chunk
@@ -159,27 +161,43 @@ def _replicas(grid: GridModel, seed: int, replicas: int, Dp: float | None = None
     at replica lo is the draw `_draw_cells(rng.generator(seed, lo + j), grid,
     X[j:j+1], Dp)` would make, so replica k has stream (seed, k); the rows
     are counted in one call, which also gives each row's total to the
-    chunk's one |E_s| contraction.  X is a view of one work buffer, at most
-    2^19 cells (4 MB) above 512 cells, allocated before the first chunk and
-    redrawn in place for each next one, so the loop allocates no counts per
-    replica; a caller that keeps counts copies them first (`CellConfig`
-    does, casting to int64)."""
+    chunk's one |E_s| contraction.  X is a view of one float32 work buffer,
+    at most 2^19 cells (2 MiB, half the float64 buffer) above 512
+    cells, allocated before the first chunk and redrawn in place for each
+    next one, so the loop allocates no counts per replica; a caller that
+    keeps counts copies them first (`CellConfig` does, casting to int64).
+    When a row's sum X^2 reaches 2^24, the contraction cannot certify
+    |E_s| exact in float32 and raises OverflowError; the chunk is then
+    drawn again from the same streams into a float64 buffer, allocated on
+    first need, so the counts, weights and |E_s| are those of the float32
+    attempt had it been exact.  The clique-set sums S are taken in float64,
+    so each log weight is the one a float64 buffer gives."""
     if replicas < 1:
         raise ValueError("need at least 1 replica")
     M = grid.num_cells
     batched = M <= 512
     chunk = 65536 if batched else max(1, 2**19 // M)
-    buf = np.empty((min(chunk, replicas), M))
+    buf = np.empty((min(chunk, replicas), M), dtype=np.float32)
+    wide = None
     for c, lo in enumerate(range(0, replicas, chunk)):
         R = min(chunk, replicas - lo)
-        X = buf[:R]
-        g = rng.generator(seed, c) if batched else [rng.generator(seed, lo + j) for j in range(R)]
-        _, clique, total = _draw_cells(g, grid, X, Dp)
+
+        def draw(X):
+            g = rng.generator(seed, c) if batched else [rng.generator(seed, lo + j) for j in range(R)]
+            _, clique, total = _draw_cells(g, grid, X, Dp)
+            return X, clique, _sgraded_edge_counts(X.reshape(R, *grid.shape), grid, total)
+
+        try:
+            X, clique, edges = draw(buf[:R])
+        except OverflowError:  # not certified exact in float32: the same streams again, in float64
+            wide = np.empty(buf.shape) if wide is None else wide
+            X, clique, edges = draw(wide[:R])
         if Dp is None:
             lw = np.zeros(R)
         else:
-            lw = _mixture_log_weight(X[np.arange(R)[:, None], clique].sum(axis=1), grid.D, Dp, grid.tau_s)
-        yield X, lw, _sgraded_edge_counts(X.reshape(R, *grid.shape), grid, total)
+            S = X[np.arange(R)[:, None], clique].sum(axis=1, dtype=np.float64)
+            lw = _mixture_log_weight(S, grid.D, Dp, grid.tau_s)
+        yield X, lw, edges
 
 
 def importance_estimate_tail(

@@ -229,8 +229,9 @@ def _tied_strip_input(tmp_path) -> tuple:
 
 
 def test_outputs_do_not_depend_on_numpy_simd_dispatch(tmp_path):
-    # every SIMD kernel numpy can pick above its baseline, on and off; tail
-    # needs 100 replicas; the d = 2 config draws the heatmap, so a d = 1
+    # every SIMD kernel numpy can pick above its baseline, on and off, and
+    # OpenBLAS's Haswell kernels in place of the one it picks for this CPU;
+    # tail needs 100 replicas; the d = 2 config draws the heatmap, so a d = 1
     # stored sample runs extract through the top-cell strip
     cfg = _write_config(tmp_path, sampler={"replicas": 100})
     strip_cfg, strip_input = _tied_strip_input(tmp_path)
@@ -238,7 +239,7 @@ def test_outputs_do_not_depend_on_numpy_simd_dispatch(tmp_path):
     runs.append(("extract", "--config", str(strip_cfg), "--input", str(strip_input)))
     disabled = " ".join(_dispatch_targets_above_baseline())
     digests = []
-    for environ in ({}, {"NPY_DISABLE_CPU_FEATURES": disabled}):
+    for environ in ({}, {"NPY_DISABLE_CPU_FEATURES": disabled, "OPENBLAS_CORETYPE": "Haswell"}):
         files = {}
         for k, args in enumerate(runs):
             out = tmp_path / f"{k}-{args[0]}-{len(environ)}"

@@ -537,13 +537,48 @@ def test_sgraded_edge_counts_refuse_int64_overflow(tiny, l2_grid):
 
 
 def test_sgraded_edge_counts_agree_in_float64_and_int64():
-    # the replica loop contracts float64 counts; below 2^53 they are exact
+    # the replica loop contracts float32 counts, certified exact while each
+    # row's sum x^2 is below 2^24, and float64 counts, exact below 2^53
     for k, grid in enumerate(_kernel_grids()):
         for R in (1, 3) if grid.num_cells > 16 else (1, 500):
             x = np.random.default_rng(k).poisson(max(grid.D, 1.0), size=(R, *grid.shape))
-            got = _sgraded_edge_counts(x.astype(float), grid)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, _sgraded_edge_counts(x, grid))
+            assert (np.square(x).sum(axis=tuple(range(1, x.ndim))) < 2**24).all()
+            want = _sgraded_edge_counts(x, grid)
+            for dtype in (np.float64, np.float32):
+                got = _sgraded_edge_counts(x.astype(dtype), grid)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want)
+
+
+def test_sgraded_edge_counts_certify_float32_below_2_24(tiny, l2_grid):
+    # 4095^2 < 2^24 = 4096^2: float32 counts are certified exact only while
+    # each row's sum x^2 is below 2^24, whatever the totals
+    for grid in (tiny, l2_grid):
+        x = np.zeros((2, *grid.shape), dtype=np.float32)
+        x[1].flat[0] = 4095
+        assert _sgraded_edge_counts(x, grid).tolist() == [0, 4095 * 4094 // 2]
+        assert _sgraded_edge_counts(x, grid, np.array([0, 4095])).tolist() == [0, 4095 * 4094 // 2]
+        x[1].flat[0] = 4096
+        with pytest.raises(OverflowError):
+            _sgraded_edge_counts(x, grid)
+        with pytest.raises(OverflowError):
+            _sgraded_edge_counts(x, grid, np.array([0, 4096]))
+        # no cell reaches 4096, but the row's sum x^2 = 2 * 3000^2 does reach 2^24
+        x[1].flat[:2] = 3000
+        with pytest.raises(OverflowError):
+            _sgraded_edge_counts(x, grid)
+        # a cell past 2^24 points sticks at 2^24 in float32, and is caught too
+        x[1].flat[:2] = [2**24 + 1, 0]
+        with pytest.raises(OverflowError):
+            _sgraded_edge_counts(x, grid, np.array([0, 2**24 + 1]))
+        # every cell full, sum x^2 just below 2^24: certified, and exact although
+        # 2|E_s| is far past 2^24, with the totals summed here or passed
+        full = math.isqrt((2**24 - 1) // grid.num_cells)
+        x = np.full((1, *grid.shape), full, dtype=np.float32)
+        want = _sgraded_edge_counts(x.astype(np.int64), grid)
+        assert 2 * want[0] > 2**24
+        assert np.array_equal(_sgraded_edge_counts(x, grid), want)
+        assert np.array_equal(_sgraded_edge_counts(x, grid, np.array([full * grid.num_cells])), want)
 
 
 def test_sgraded_edge_counts_refuse_float64_past_2_53(tiny, l2_grid):

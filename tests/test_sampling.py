@@ -6,6 +6,7 @@ from scipy import stats as sps
 
 from rggloc import (
     CellConfig,
+    ModelParams,
     Norm,
     TailEstimate,
     build_grid,
@@ -397,6 +398,39 @@ def test_replica_chunks_are_redrawn_into_one_buffer():
             lo += len(X)
             got.append(len(X))
         assert got == sizes
+
+
+def test_replica_chunks_are_float32_and_exact(l2_grid):
+    # the work buffer is float32; on the README grids and an L2 d=2 grid
+    # every row's sum X^2 stays below 2^24, so no chunk is redrawn in float64
+    readme = build_grid(params_for_p_hat(1e3, 1.0, Norm("linf", 1)), 5)
+    big = build_grid(params_for_p_hat(1e4, 1.0, Norm("linf", 1)), 5)
+    for grid, replicas in ((readme, 250), (big, 25), (l2_grid, 300)):
+        for Dp in (None, _planted_mean(grid, 1.0)):
+            for X, _, edges in _replicas(grid, 19, replicas, Dp):
+                assert X.dtype == np.float32
+                counts = X.astype(np.int64)
+                assert np.array_equal(counts, X)
+                assert np.array_equal(edges, _sgraded_edge_counts(counts.reshape(len(X), *grid.shape), grid))
+
+
+def test_dense_replicas_are_redrawn_in_float64():
+    # every row's sum X^2 is at least 2^24, so every float32 chunk fails its
+    # certificate and is drawn again from the same streams into float64; the
+    # estimates still equal the references, batched and per replica
+    tiny = tiny_grid(Norm("linf", 1), m=4, s=3, n=4e4)
+    per_row = build_grid(ModelParams(1.2e5, 5 / 600, Norm("linf", 1)), 5)
+    assert per_row.num_cells == 600 and per_row.num_cells * per_row.D**2 >= 2**24
+    for grid, reference in ((tiny, _batched_reference), (per_row, _per_replica_reference)):
+        Dp = _planted_mean(grid, 1.0)
+        chunks = list(_replicas(grid, 23, 100, Dp))
+        assert [X.dtype for X, _, _ in chunks] == [np.float64]
+        X, _, edges = chunks[0]
+        assert (np.einsum("ij,ij->i", X, X) >= 2**24).all()
+        assert np.array_equal(edges, _sgraded_edge_counts(X.astype(np.int64).reshape(len(X), *grid.shape), grid))
+        est = importance_estimate_tail(grid, t=1.0, replicas=100, seed=23)
+        assert est.log_prob > -math.inf
+        assert est == reference(grid, 1.0, 100, 23)
 
 
 def test_unreliable_flag_on_hopeless_tail(tiny):
