@@ -61,15 +61,27 @@ def extract_bulk_exceedance(cfg: CellConfig, scales: DerivedScales) -> np.ndarra
 
 def extract_T(cfg: CellConfig, frakI: np.ndarray, scales: DerivedScales) -> np.ndarray:
     """Shortest prefix of the big-cell list, sorted by count descending with ties
-    to the lower flat index, with V > 1 - 2 xi / log n."""
+    to the lower flat index, with V > 1 - 2 xi / log n.
+
+    The cells whose count reaches a cut are a head of that order, with the
+    list's own running sums, so only the head is sorted.  The cut starts at
+    half the largest count; while the head's mass falls short, it drops to
+    half the smaller of the cut and the count still missing (one cell at
+    that count would close the gap), down to the whole list."""
     threshold = 1.0 - 2.0 * scales.xi / math.log(scales.n)
     counts = cfg.counts[frakI]
-    # frakI is sorted, so the stable sort hands ties to the lower index
-    order = np.argsort(-counts, kind="stable")
-    acc = np.cumsum(counts[order] / scales.q)
-    above = np.flatnonzero(acc > threshold)
-    if len(above):
-        return np.sort(frakI[order[: above[0] + 1]])
+    cut = int(counts.max(initial=0)) // 2
+    while True:
+        head = np.flatnonzero(counts >= cut)
+        # frakI is sorted, so the stable sort hands ties to the lower index
+        order = head[np.argsort(-counts[head], kind="stable")]
+        acc = np.cumsum(counts[order] / scales.q)
+        above = np.flatnonzero(acc > threshold)
+        if len(above):
+            return np.sort(frakI[order[: above[0] + 1]])
+        if len(head) == len(counts):
+            break
+        cut = int(min(cut, (threshold - acc[-1]) * scales.q)) // 2
     total = float(acc[-1]) if len(acc) else 0.0
     raise InsufficientMassError(
         f"insufficient mass: V(frakI) = {total:.6g} <= {threshold:.6g}"

@@ -30,15 +30,18 @@ anchor cells for neighborhoods, clique translates and the planted samplers.
 
 tau_s, the largest set of cells with pairwise metric <= s, is a maximum clique
 of this adjacency: on the (s+2)^d window for a grid with m >= 2s+3, on the
-whole wrapped grid otherwise.  `_clique_graph` reads the adjacency from a
-table of the metric per per-axis offset, in the same 256-row blocks, and
-packs it into Python-int bitsets.  The proof comes first: one colour-bounded
-branch and bound (MCQ/MCS, Tomita & Seki 2003; Tomita et al. 2010), floored
-by one disc-grown greedy clique, fixes tau.  Only then does a sweep of
-disc-grown greedy cliques over the window's centres look for the witness:
-the first centre's clique to reach tau, or the search's own clique when none
-does.  The same search, with >= in place of >, enumerates the maximum sets
-through an anchor cell.
+whole wrapped grid otherwise.  `_adjacency` reads the adjacency from a table
+of the metric per per-axis offset, in the same 256-row blocks, and
+`_bitsets` packs it into Python-int bitsets in a given vertex order.  The
+proof comes first: one colour-bounded branch and bound (MCQ/MCS, Tomita &
+Seki 2003; Tomita et al. 2010), floored by one disc-grown greedy clique,
+fixes tau.  On the window it runs only on the (s+1)^d box, which holds a
+translate of every clique set, with the box's cells numbered first in the
+box's own degree order.  Only then does a sweep of disc-grown greedy cliques
+over the window's centres look for the witness: the first centre's clique to
+reach tau, or, when none does, the first tau-clique of the search over the
+whole window in its degree order.  The same search, with >= in place of >,
+enumerates the maximum sets through an anchor cell.
 
 Every lattice stencil takes one wrapped-slice path.  `_wrapped_slices` maps
 an offset o (mod m) to the at most 2^d pairs of slices (a, b) for which
@@ -325,16 +328,14 @@ def _metric_blocks(a: np.ndarray, b: np.ndarray, norm: Norm, m: int | None = Non
         yield _pairwise_metric(a[i : i + 256], b, norm, m)
 
 
-def _clique_graph(cells: np.ndarray, norm: Norm, s: int, m: int | None = None):
-    """The graph on `cells` joining pairs at cell metric <= s, no self-loops.
+def _adjacency(cells: np.ndarray, norm: Norm, s: int, m: int | None = None) -> np.ndarray:
+    """The bool matrix joining the rows of `cells` at cell metric <= s, with a
+    False diagonal.
 
     The metric depends only on the per-axis |offset|, at most ptp(cells) on
     every axis (the rows may have negative coordinates), so it is evaluated
     once per offset into a table, and the adjacency gathers from it in blocks
     of 256 rows; a wrapped offset is min(|a-b|, m-|a-b|).
-    Vertices are renumbered by non-increasing degree (ties keep the row order):
-    returns `order`, the row of `cells` behind each vertex, and the adjacency
-    as one Python-int bitset per vertex (bit u of nbrs[v] set iff u ~ v).
     """
     w = int(np.ptp(cells, axis=0).max()) + 1
     fits = _metric_from_delta(_lattice(0, w, cells.shape[1]), norm) <= s
@@ -349,33 +350,56 @@ def _clique_graph(cells: np.ndarray, norm: Norm, s: int, m: int | None = None):
             key = key * w + delta
         adj[i : i + 256] = fits[key]
     np.fill_diagonal(adj, False)
-    order = np.argsort(-adj.sum(axis=1), kind="stable")
+    return adj
+
+
+def _bitsets(adj: np.ndarray, order: np.ndarray) -> list:
+    """The graph `adj` with vertex v the row order[v], as one Python-int bitset
+    per vertex (bit u of nbrs[v] set iff u ~ v)."""
     rows = np.packbits(adj.take(order, axis=0).take(order, axis=1), axis=1, bitorder="little")
-    return order, [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def _degree_order(adj: np.ndarray) -> np.ndarray:
+    """The rows of `adj` by non-increasing degree, ties kept in row order."""
+    return np.argsort(-adj.sum(axis=1), kind="stable")
+
+
+def _clique_graph(cells: np.ndarray, norm: Norm, s: int, m: int | None = None):
+    """The graph on `cells` joining pairs at cell metric <= s (`_adjacency`),
+    its vertices numbered by non-increasing degree (`_degree_order`): returns
+    `order`, the row of `cells` behind each vertex, and the bitsets."""
+    adj = _adjacency(cells, norm, s, m)
+    order = _degree_order(adj)
+    return order, _bitsets(adj, order)
 
 
 def _disc_orders(pts: np.ndarray, order: np.ndarray, centres: np.ndarray) -> np.ndarray:
     """Each centre's ball-growing vertex order: by squared distance from the
     centre, ties to the lower `order`.  The distances are integers and `order`
     is a permutation of the vertices, so the keys dist * V + order are distinct
-    and sort as lexsort((order, dist))."""
-    dist = ((pts[None] - centres[:, None]) ** 2).sum(axis=2)
+    and sort as lexsort((order, dist)), in any sort.  The keys are computed in
+    the dtype of the three arrays, which the caller picks to hold them all,
+    as narrow as sorts fastest."""
+    dist = ((pts[None] - centres[:, None]) ** 2).sum(axis=2, dtype=pts.dtype)
     return np.argsort(dist * len(order) + order, axis=1)
 
 
-def _disc_clique(ranked: list, nbrs: list, full: int, need: int) -> list:
+def _disc_clique(ranked: list, nbrs: list, bits: list, full: int, need: int) -> list:
     """Greedy clique taking each vertex of `ranked` that fits, given up once
-    nothing more fits or it cannot reach `need` vertices.  That bound is
-    checked every 8th vertex taken: counting the bits of a mask thousands of
-    bits wide costs as much as the rest of a step, and a late stop only
-    costs time."""
+    nothing more fits or it cannot reach `need` vertices; bits[v] is 1 << v.
+    That bound is checked every 8th vertex taken: counting the bits of a mask
+    thousands of bits wide costs as much as the rest of a step, and a late
+    stop only costs time."""
     cur: list = []
     mask = full
+    taken = 0
     for v in ranked:
-        if mask >> v & 1:
+        if mask & bits[v]:
             cur.append(v)
             mask &= nbrs[v]
-            if not mask or (len(cur) % 8 == 0 and len(cur) + mask.bit_count() < need):
+            taken += 1
+            if not mask or (not taken & 7 and taken + mask.bit_count() < need):
                 break
     return cur
 
@@ -439,31 +463,47 @@ def _clique_search(nbrs: list, base: list, cand: int, bar: int, cap: int | None 
 
 
 def _max_clique(cells: np.ndarray, norm: Norm, s: int, m: int | None = None) -> np.ndarray:
-    """The cells of a maximum clique, as rows of `cells`; the search proves it.
+    """The cells of a maximum clique, as rows of `cells` (the lattice [0, w)^d);
+    the search proves it.
 
-    The proof comes first: one disc-grown greedy clique, from the middle
-    centre, is the branch and bound's floor, and the search fixes tau.  The
-    witness is then the disc-swept greedy clique: the first centre of the
-    window, in C order, whose ball-growing order (distance ties to the
-    earlier row of `cells`) reaches tau, each centre dropped once it cannot.
-    If none does, the witness is the search's first tau-clique; the
-    search's tree does not depend on its bar, so any bar below tau finds it.
+    Unwrapped (m None), every clique has a translate in the box [0, s]^d, so
+    the proof needs only the box: its cells are numbered first, by degree
+    within the box, as a graph of the box alone would number them (ties in
+    row order), and the branch and bound runs on them.  Wrapped, the box is
+    the whole lattice, since a clique of a small torus can be wider than s + 1
+    cells; the numbering is then the window's degree order.  One disc-grown
+    greedy clique, from the middle centre, is the search's floor, and the
+    search fixes tau.  The witness is then the disc-swept greedy clique: the
+    first centre of the window, in C order, whose ball-growing order
+    (distance ties to the earlier row of `cells`) reaches tau, each centre
+    dropped once it cannot; this does not depend on the numbering.  If none
+    does, the witness is the first tau-clique of the search over the whole
+    lattice in its degree order, renumbered for that search alone.
     """
-    order, nbrs = _clique_graph(cells, norm, s, m)
-    pts = cells[order]
-    full = (1 << len(nbrs)) - 1
-    w, d = int(pts.max()) + 1, pts.shape[1]
-    middle = _disc_orders(pts, order, np.full((1, d), (w - 1) // 2))[0]
-    floor = len(_disc_clique(middle.tolist(), nbrs, full, 0))
-    better = _clique_search(nbrs, [], full, floor)
+    adj = _adjacency(cells, norm, s, m)
+    box = (cells <= s).all(axis=1) if m is None else np.ones(len(cells), dtype=bool)
+    order = np.argsort(np.where(box, -adj[:, box].sum(axis=1), 1), kind="stable")
+    nbrs = _bitsets(adj, order)
+    V, d = cells.shape
+    w = int(cells.max()) + 1
+    full = (1 << V) - 1
+    bits = [1 << v for v in range(V)]
+    # dist * V + row < (d (w-1)^2 + 1) V: the narrowest int holding the sweep's
+    # keys, at least int32 (numpy argsorts int16 rows about 5x slower)
+    key = np.promote_types(np.min_scalar_type(-(d * (w - 1) ** 2 + 1) * V), np.int32)
+    pts, rows = cells[order].astype(key), order.astype(key)
+    middle = _disc_orders(pts, rows, np.full((1, d), (w - 1) // 2, dtype=key))[0]
+    floor = len(_disc_clique(middle.tolist(), nbrs, bits, full, 0))
+    better = _clique_search(nbrs, [], (1 << int(box.sum())) - 1, floor)
     tau = len(better[-1]) if better else floor
-    centres = _lattice(0, w, d)
+    centres = _lattice(0, w, d).astype(key)
     for i in range(0, len(centres), 64):
-        for ranked in _disc_orders(pts, order, centres[i : i + 64]):
-            cur = _disc_clique(ranked.tolist(), nbrs, full, tau)
+        for ranked in _disc_orders(pts, rows, centres[i : i + 64]).tolist():
+            cur = _disc_clique(ranked, nbrs, bits, full, tau)
             if len(cur) == tau:
-                return pts[cur]
-    return pts[better[-1]]
+                return cells[order[cur]]
+    order = _degree_order(adj)
+    return cells[order[_clique_search(_bitsets(adj, order), [], full, tau - 1, cap=1)[0]]]
 
 
 def _as_offsets(pts: np.ndarray) -> tuple:
@@ -474,8 +514,11 @@ def _as_offsets(pts: np.ndarray) -> tuple:
 def _tau_s_cached(kind: str, dim: int, s: int) -> tuple:
     """Canonical witness of tau_s, n-independent, computed once per (norm, d, s).
 
-    The (s+2)^d window holds every set of diameter <= s up to translation; the
-    witness is moved so that its min corner is the origin.
+    Cell metric <= s bounds every per-axis offset by s, so the (s+1)^d box
+    already holds every set of diameter <= s up to translation, and
+    `_max_clique` proves tau_s there; the witness sweep runs over the (s+2)^d
+    window, whose centres and rows fix the witness.  It is moved so that its
+    min corner is the origin.
     """
     pts = _max_clique(_lattice(0, s + 2, dim), Norm(kind, dim), s)
     return _as_offsets(pts - pts.min(axis=0))

@@ -141,6 +141,34 @@ def test_extract_T_matches_sorted_prefix_loop(l2_grid, l2_scales):
                 assert _cells(extract_T(cfg, frakI, l2_scales), l2_grid) == want
 
 
+def test_extract_T_widens_its_cut_past_a_short_head(big_grid, big_scales):
+    # six planted cells carry 3/4 to 1 of q, so the first head (the cells at
+    # half the largest count or more) falls short and the cut must drop into
+    # the tied nominal bulk; with q/12 a cell over a sparse bulk the whole
+    # list falls short
+    q = big_scales.q
+    for low, high, D, seed in ((q / 8, q / 6, big_grid.D, 73), (q / 16, q / 12, 0.01, 74)):
+        for k in range(5):
+            g = np.random.default_rng([seed, k])
+            counts = g.poisson(D, size=big_grid.num_cells)
+            counts[g.choice(big_grid.num_cells, 6, replace=False)] = g.integers(low, high, size=6)
+            cfg = CellConfig(counts, big_grid)
+            frakI = extract_bulk_exceedance(cfg, big_scales)
+            try:
+                want = _extract_T_loop(cfg, _cells(frakI, big_grid), big_scales)
+            except InsufficientMassError:
+                # the message sums V over the whole list, largest count first
+                total = np.cumsum(np.sort(counts[frakI])[::-1] / q)[-1]
+                threshold = 1.0 - 2.0 * big_scales.xi / math.log(big_scales.n)
+                msg = f"insufficient mass: V(frakI) = {total:.6g} <= {threshold:.6g}"
+                with pytest.raises(InsufficientMassError) as err:
+                    extract_T(cfg, frakI, big_scales)
+                assert str(err.value) == msg
+            else:
+                assert len(want) > 6
+                assert _cells(extract_T(cfg, frakI, big_scales), big_grid) == want
+
+
 def test_extract_P_filters_small_cells(big_grid, big_scales):
     cfg, W = _planted_config(big_grid, big_scales)
     frakT = extract_T(cfg, extract_bulk_exceedance(cfg, big_scales), big_scales)

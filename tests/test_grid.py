@@ -203,14 +203,27 @@ def test_tiny_grid_tau_matches_bron_kerbosch(kind):
 
 @pytest.mark.parametrize(
     "kind,dim,s,tau",
-    [("l2", 3, 5, 160), ("l1", 3, 4, 49), ("l2", 3, 3, 56), ("l1", 3, 3, 32)],
+    [("l2", 3, 5, 160), ("l1", 3, 4, 49), ("l2", 3, 3, 56), ("l1", 3, 3, 32), ("l2", 3, 7, 340),
+     ("l2", 3, 8, 473)],
 )
 def test_tau_s_frozen_values_d3(kind, dim, s, tau):
     # regression anchors at d=3, where the disc-swept greedy clique is not
-    # always maximum and the proof needs a real search
+    # always maximum and the proof needs a real search; L2 s=7 and 8 take
+    # seconds on the (s+1)^3 box and took minutes on the (s+2)^3 window
     info = max_clique_info(Norm(kind, dim), s)
     assert info.size == tau
     assert info.exact
+    offs = np.array(sorted(info.members))
+    assert int(_metric_from_delta(np.abs(offs[:, None] - offs[None]), Norm(kind, dim)).max()) <= s
+
+
+@pytest.mark.parametrize("dim,m,s,tau", [(1, 6, 3, 6), (2, 5, 2, 10)])
+def test_tiny_grid_clique_wider_than_the_box(dim, m, s, tau):
+    # a clique set of a small torus wraps, so it can outgrow the (s+1)^d box:
+    # the wrapped proof runs over the whole grid
+    g = tiny_grid(Norm("l1", dim), m=m, s=s, n=4.0)
+    assert g.tau_s == tau > (s + 1) ** dim
+    assert set_diameter(g.clique_offsets, g) <= s
 
 
 def test_enumerate_clique_sets_matches_bron_kerbosch(l2_grid):
