@@ -5,24 +5,23 @@ Probes are the parametric convex family {ball, box, ball-box intersection};
 all probe extents are required to stay below 1/2 so the wraparound never
 makes containment ambiguous.  Containment is closed (boundary points count
 as inside); the convention is observationally irrelevant under a Poisson
-process but must be fixed for determinism.
+process but must be fixed for determinism.  Probe measures are exact: a
+ball-box intersection's is a signed sum of ball-corner volumes, which takes
+Gauss-Legendre quadrature only at L2 with d >= 3.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 _KINDS = ("l1", "l2", "linf")
 MAX_DIM = 4
-# most grid centres one ball-box quadrature round may build: 2048^2 at d = 2
-_MESH_CAP = 1 << 22
-# dyadic step the ball-box corner offset is snapped to: far above the
-# rounding left in it, far below the quadrature's finest mesh step
-_REL_SNAP = 2.0**-40
+_GAUSS_NODES = 32  # Gauss-Legendre nodes per integrated axis of an L2 ball-box corner
 
 
 @dataclass(frozen=True)
@@ -140,79 +139,80 @@ def probe_contains(S: Probe, x):
     return probe_contains(S.ball, x) & _box_contains(S.box, x)
 
 
-def _ball_box_measure(S: BallBoxIntersection, rel_tol: float = 1e-4) -> float:
-    """Deterministic bracket quadrature for measure(ball ∩ box).
+def _ball_box_measure(S: BallBoxIntersection) -> float:
+    """Measure of ball ∩ box, exact to rounding but at L2 with d >= 3.  Per axis
+    the box meets [-R, R] about the centre in at most one arc (2R + side < 1),
+    which split at the centre and reflected is a signed sum of cuts 1[|y| >= c];
+    over the axes, a signed sum of F(c) = vol{y >= c, ||y|| <= R}, corners merged."""
+    ball, box, R = S.ball, S.box, S.ball.radius
+    axes = []
+    for c, x, s in zip(ball.center, box.corner, box.sides):
+        lo = (x - c + 0.5) % 1.0 - 0.5
+        if lo > R:  # the box can reach the ball only past the antipode
+            lo -= 1.0
+        a, b = max(lo, -R), min(lo + s, R)
+        if a >= b:
+            return 0.0
+        cuts = Counter()
+        for p, q in ((a, b), (-b, -a)):  # the arc's parts on either side of the centre
+            if q > 0.0:
+                cuts[max(p, 0.0)] += 1
+                cuts[q] -= 1
+        axes.append({cut: w for cut, w in cuts.items() if w and cut < R})
+    corners = np.array(list(itertools.product(*axes)))
+    signs = np.prod(list(itertools.product(*(axis.values() for axis in axes))), axis=-1)
+    inside = ball.norm.length(corners) < R  # a corner outside the ball adds 0
+    a, d = corners[inside], ball.norm.dim
+    if ball.norm.kind == "linf" or d == 1:  # at d = 1 every norm is |y|
+        F = np.prod(R - a, axis=-1)
+    elif ball.norm.kind == "l1":
+        F = (R - a.sum(axis=-1)) ** d / math.factorial(d)
+    else:
+        F = _l2_corner(a, R)
+    return float(signs[inside] @ F)
 
-    The measure depends only on the norm, the radius, the box's sides and
-    the wrapped offset (corner - center + 1/2) mod 1 - 1/2 of its corner
-    from the ball's center, so the quadrature runs in center-relative
-    coordinates and is cached on those.  A probe built as center - h mod 1
-    gets that offset back only to within a few ulps, which vary with the
-    center, so the offset is snapped to multiples of _REL_SNAP: probes of
-    one shape placed at different centers then share one quadrature.
-    """
-    ball, box = S.ball, S.box
-    rel = (np.asarray(box.corner) - np.asarray(ball.center) + 0.5) % 1.0 - 0.5
-    rel = np.round(rel / _REL_SNAP) * _REL_SNAP
-    return _ball_box_bracket(ball.norm, ball.radius, tuple(rel.tolist()), tuple(box.sides), rel_tol)
 
-
-@lru_cache(maxsize=64)
-def _ball_box_bracket(norm: Norm, radius: float, rel: tuple, sides: tuple, rel_tol: float) -> float:
-    """Measure of the ball of `radius` at the origin ∩ the box with corner
-    `rel` and `sides`.  Dyadically refines a grid over the box; cells
-    entirely inside the intersection give a lower bound, cells merely
-    touching give an upper bound.  Refinement stops once the bracket width
-    is <= rel_tol * tau where tau is the ball volume, or before a mesh of
-    more than _MESH_CAP centres would be built; the last bracket's midpoint
-    is returned.
-    """
-    d = norm.dim
-    tau = norm.nu * radius**d
-    sides = np.asarray(sides)
-    # grid resolution doubles each round; start coarse
-    for k in range(3, 12):
-        npc = 1 << k  # cells per axis
-        if npc**d > _MESH_CAP:
-            break
-        step = sides / npc
-        axes = [rel[i] + (np.arange(npc) + 0.5) * step[i] for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        centers = np.stack([m.ravel() for m in mesh], axis=-1)
-        dist = norm.length(wrapped_delta(centers, 0.0))
-        half = norm.length(step / 2.0)  # farthest corner offset of a grid cell
-        cell_vol = float(np.prod(step))
-        lower = float((dist <= radius - half).sum()) * cell_vol
-        upper = float((dist <= radius + half).sum()) * cell_vol
-        if upper - lower <= rel_tol * tau:
-            break
-    return 0.5 * (lower + upper)
+def _l2_corner(a: np.ndarray, R) -> np.ndarray:
+    """F(a) at L2, d >= 2, for rows a >= 0 and R broadcasting against them: y_1
+    runs from a_1 to t = sqrt(R^2 - ||a_2..||^2).  At d = 2 its slices have a
+    closed antiderivative; above, each is F_{d-1} at radius sqrt(R^2 - y_1^2),
+    summed by Gauss-Legendre in u, y_1 = t - (t - a_1) u^2, smooth at y_1 = t."""
+    R2 = np.asarray(R, dtype=float) ** 2
+    head, rest = a[..., 0], a[..., 1:]
+    t = np.sqrt(np.maximum(R2 - (rest * rest).sum(axis=-1), 0.0))
+    h = np.maximum(t - head, 0.0)
+    if a.shape[-1] == 2:
+        def antiderivative(y):
+            root = np.sqrt(np.maximum(R2 - y * y, 0.0))
+            return 0.5 * (y * root + R2 * np.arctan2(y, root)) - rest[..., 0] * y
+        return antiderivative(t) - antiderivative(t - h)
+    # Golub-Welsch: the nodes are the eigenvalues of Legendre's Jacobi matrix
+    k = np.arange(1.0, _GAUSS_NODES)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    u, w = (x + 1.0) / 2.0, v[0] ** 2  # nodes and weights on [0, 1]
+    y = t[..., None] - h[..., None] * u * u
+    rho = np.sqrt(np.maximum(R2[..., None] - y * y, 0.0))
+    slices = _l2_corner(np.broadcast_to(rest[..., None, :], y.shape + rest.shape[-1:]), rho)
+    return (slices * (2.0 * u * w)).sum(axis=-1) * h  # dy = 2 (t - a_1) u du
 
 
 def probe_measure(S: Probe) -> float:
-    """Lebesgue measure: closed form for balls and boxes, quadrature otherwise."""
+    """Lebesgue measure: closed form for balls, boxes and ball-box
+    intersections (Gauss-Legendre on the outer axes at L2 with d >= 3)."""
     if isinstance(S, Ball):
         return S.norm.nu * S.radius**S.norm.dim
     if isinstance(S, Box):
         return float(np.prod(S.sides))
-    # containment fast paths are exact; otherwise bracket quadrature
+    # containment answers first: the corner sum agrees with it only to a few
+    # ulps, and a box inside the ball or around it keeps its exact volume
     ball, box = S.ball, S.box
-    corners = _box_corner_array(box)
-    if bool(probe_contains(ball, corners).all()):
+    bits = np.array(list(itertools.product((0.0, 1.0), repeat=len(box.sides))))
+    if bool(probe_contains(ball, (np.asarray(box.corner) + bits * np.asarray(box.sides)) % 1.0).all()):
         return probe_measure(box)
     if _box_contains_ball(box, ball):
         return probe_measure(ball)
     return _ball_box_measure(S)
-
-
-def _box_corner_array(box: Box) -> np.ndarray:
-    d = len(box.corner)
-    corners = []
-    for mask in range(1 << d):
-        corners.append(
-            [(box.corner[i] + (box.sides[i] if (mask >> i) & 1 else 0.0)) % 1.0 for i in range(d)]
-        )
-    return np.asarray(corners)
 
 
 def _box_contains_ball(box: Box, ball: Ball) -> bool:

@@ -31,7 +31,6 @@ from rggloc import (
     sample_cell_config,
     sample_ppp,
 )
-from rggloc import geometry
 from rggloc.extract import (
     Thm1Report,
     _clause_a_probes,
@@ -41,7 +40,7 @@ from rggloc.extract import (
     _tile_counts,
     _top_cells,
 )
-from rggloc.geometry import BallBoxIntersection, Box, probe_measure, torus_distance, wrapped_delta
+from rggloc.geometry import probe_measure, torus_distance, wrapped_delta
 from rggloc.grid import CellConfig, _lattice, clique_translate, flat_index, set_diameter, unflat_index
 from rggloc.stats import Q_internal
 
@@ -470,8 +469,8 @@ def test_certify_thm1_planted_continuum():
 
 
 def test_certify_thm1_ball_box_quadrature_memory_is_capped():
-    # at L1 d=3 the ball∩box bracket is still open at 128^3 centres, and a
-    # 256^3 mesh would take the process near 2 GB
+    # at L1 d=3 the ball∩box probe cuts the ball's boundary; its measure must
+    # not build anything the size of a mesh over the box
     params = params_for_p_hat(300.0, 1.0, Norm("l1", 3))
     ps = sample_ppp(params.n, params.norm, seed=53, replica=3)
     tracemalloc.start()
@@ -586,10 +585,7 @@ def _certify_thm1_reference(ps, params, delta, eps, s=5):
 
 
 @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
-def test_certify_thm1_matches_definitional_counts(kind, monkeypatch):
-    # the counts are under test, not the ball∩box quadrature, which at L1 d=3
-    # takes seconds a call: both sides get the same stand-in measure
-    monkeypatch.setattr(geometry, "_ball_box_measure", lambda S: 0.5 * math.prod(S.box.sides))
+def test_certify_thm1_matches_definitional_counts(kind):
     for dim in (1, 2, 3):
         params = params_for_p_hat(300.0, 1.0, Norm(kind, dim))
         planted = planted_continuum_sampler(params, delta=1.0, seed=47, replica=dim)
@@ -685,58 +681,3 @@ def test_tile_counts_match_the_3d_torus_distance_form(kind):
             got = _tile_counts(points, kgrid, r, norm)
             assert np.array_equal(got, _tile_counts_3d_form(points, kgrid, r, norm))
             assert got.sum() > 0
-
-
-def _ball_box_measure_at_center(S, rel_tol):
-    """Reference: the bracket quadrature over the box's mesh in absolute
-    coordinates, each mesh centre wrapped and measured to the ball's centre."""
-    ball, box = S.ball, S.box
-    d = ball.norm.dim
-    tau = ball.norm.nu * ball.radius**d
-    sides, corner = np.asarray(box.sides), np.asarray(box.corner)
-    for k in range(3, 12):
-        npc = 1 << k
-        if npc**d > geometry._MESH_CAP:
-            break
-        step = sides / npc
-        axes = [corner[i] + (np.arange(npc) + 0.5) * step[i] for i in range(d)]
-        centers = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1) % 1.0
-        dist = torus_distance(centers, np.asarray(ball.center), ball.norm)
-        half = ball.norm.length(step / 2.0)
-        cell_vol = float(np.prod(step))
-        lower = float((dist <= ball.radius - half).sum()) * cell_vol
-        upper = float((dist <= ball.radius + half).sum()) * cell_vol
-        if upper - lower <= rel_tol * tau:
-            break
-    return 0.5 * (lower + upper)
-
-
-def test_ball_box_measure_is_shared_across_centres():
-    """The centre-relative quadrature equals the per-centre one at centres on
-    and off the seam, for the ball∩box probe of certify_thm1's clause (a),
-    built as _clause_a_probes builds it, and all the centres share one
-    quadrature: the corner offsets, which differ in their last bits, are
-    snapped to one key."""
-    rng = np.random.default_rng(5)
-    for kind, dim, n in (("l1", 1, 2000.0), ("l1", 2, 2000.0), ("l2", 2, 2000.0), ("l2", 3, 300.0), ("l2", 4, 300.0)):
-        params = params_for_p_hat(n, 1.0, Norm(kind, dim))
-        centres = [np.full(dim, 0.999), np.zeros(dim), np.full(dim, 1e-3), *rng.random((3, dim))]
-        misses = geometry._ball_box_bracket.cache_info().misses
-        for c in centres:
-            A = Ball(tuple(c.tolist()), params.r / 2.0, params.norm)
-            half = A.radius * 0.8
-            S = BallBoxIntersection(A, Box(tuple((x - half * 0.2) % 1.0 for x in A.center), (half,) * dim))
-            assert geometry._ball_box_measure(S, 1e-2) == _ball_box_measure_at_center(S, 1e-2)
-        assert geometry._ball_box_bracket.cache_info().misses - misses <= 1
-
-
-def test_ball_box_measure_matches_per_centre_at_the_mesh_cap():
-    """At the default rel_tol an L2 d=2 box that cuts the ball's boundary
-    refines to the 2048^2 mesh cap, where mesh centres come closest to the
-    sphere; the centre-relative value still equals the per-centre one, on and
-    off the seam."""
-    norm = Norm("l2", 2)
-    for c in (np.full(2, 0.999), np.array([0.3141, 0.7182])):
-        A = Ball(tuple(c.tolist()), 0.05, norm)
-        S = BallBoxIntersection(A, Box(tuple((x - 0.015) % 1.0 for x in A.center), (0.06, 0.06)))
-        assert geometry._ball_box_measure(S) == _ball_box_measure_at_center(S, 1e-4)
